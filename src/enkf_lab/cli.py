@@ -6,7 +6,8 @@ Commands:
     enkf-lab study <model.json> <study.json> -o DIR
         [--seed S] [--format json|csv|both] [--dump-trajectories] [--workers W]
 
-Exit codes: 0 success, 1 domain-invalid input, 2 I/O or parse failure.
+Exit codes: 0 success, 1 domain-invalid input or failed study replicates
+(the report is still written), 2 I/O or parse failure.
 Seed precedence: --seed flag > study file > ENKF_LAB_SEED env var > 0.
 """
 
@@ -117,37 +118,50 @@ def cmd_kf(model_path: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _build_study_config(raw: dict, model: LinearModel, init: GaussianState, seed: int):
+def _typed(value, kind, what: str):
+    # bool is an int subclass; floats and strings would be truncated or parsed.
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise StudyFormatError(f"{what}, got {value!r}")
+    return value
+
+
+def _build_study_config(
+    raw: dict, model: LinearModel, init: GaussianState, cli_seed: int | None
+) -> StudyConfig:
     if "n_grid" not in raw or "replicates" not in raw:
         raise StudyFormatError("study file needs n_grid and replicates")
+    n_grid = _typed(raw["n_grid"], list, "n_grid must be a list")
+    for n in n_grid:
+        _typed(n, int, "n_grid entries must be integers")
+    p_list = _typed(raw.get("p_list", [2.0, 4.0]), list, "p_list must be a list")
+    for p in p_list:
+        _typed(p, (int, float), "p_list entries must be numbers")
     metric_names = raw.get("metrics")
     if metric_names is None:
         metrics = ALL_METRICS
     else:
+        _typed(metric_names, list, "metrics must be a list")
         try:
             metrics = tuple(Metric(name) for name in metric_names)
         except ValueError as exc:
             raise StudyFormatError(f"unknown metric in study file: {exc}") from exc
+    seed = raw.get("seed")
+    if seed is not None:
+        _typed(seed, int, "seed must be an integer")
+    # Seed precedence: --seed flag > study file > environment variable > 0.
+    if cli_seed is not None:
+        seed = cli_seed
+    elif seed is None:
+        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     return StudyConfig(
         model=model,
         init=init,
         seed=seed,
-        n_grid=raw["n_grid"],
-        replicates=raw["replicates"],
-        p_list=raw.get("p_list", (2.0, 4.0)),
+        n_grid=n_grid,
+        replicates=_typed(raw["replicates"], int, "replicates must be an integer"),
+        p_list=p_list,
         metrics=metrics,
     )
-
-
-def _resolve_seed(cli_seed, study_raw_seed) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    if study_raw_seed is not None:
-        return int(study_raw_seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return 0
 
 
 def _dump_trajectories(out: Path, config: StudyConfig) -> None:
@@ -170,12 +184,8 @@ def _dump_trajectories(out: Path, config: StudyConfig) -> None:
                     "k": state.step,
                     "x": x_name,
                     "u": u_name,
-                    "ensemble_gain": None
-                    if state.ensemble_gain is None
-                    else state.ensemble_gain.tolist(),
-                    "exact_gain": None
-                    if state.exact_gain is None
-                    else state.exact_gain.tolist(),
+                    "ensemble_gain": state.ensemble_gain,
+                    "exact_gain": state.exact_gain,
                 }
             )
         write_canonical_json(n_dir / "index.json", index)
@@ -190,15 +200,18 @@ def cmd_study(
     dump_trajectories: bool = False,
     workers: int = 1,
 ) -> int:
+    # Checked before anything runs: a pool starts all its workers at once.
+    max_workers = os.cpu_count() or 1
+    if not 1 <= workers <= max_workers:
+        raise ValueError(f"--workers must be between 1 and {max_workers}, got {workers}")
     model, init = load_model(model_path)
     with open(Path(study_path), "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise StudyFormatError("study file must contain a JSON object")
-    resolved_seed = _resolve_seed(seed, raw.get("seed"))
-    config = _build_study_config(raw, model, init, resolved_seed)
+    config = _build_study_config(raw, model, init, seed)
 
-    report = run_study(config, workers=max(1, workers))
+    report = run_study(config, workers=workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -210,9 +223,8 @@ def cmd_study(
     if dump_trajectories:
         _dump_trajectories(out, config)
 
-    last_fit: dict[str, object] = {}
-    for row in report.rates:
-        last_fit[row.metric] = row
+    # Rates are sorted by (metric, k): keep each metric's last step.
+    last_fit = {row.metric: row for row in report.rates}
     for metric in sorted(last_fit):
         row = last_fit[metric]
         print(
@@ -223,7 +235,11 @@ def cmd_study(
         if row.flagged:
             print(f"{row.metric} k={row.k}: explosion flag RAISED "
                   f"(max/min={row.max_over_min:.2f})")
-    return EXIT_OK
+    failures = report.metadata["failures"]
+    for n, failed in failures.items():
+        print(f"error: N={n}: {len(failed)} of {config.replicates} replicates failed",
+              file=sys.stderr)
+    return EXIT_INVALID if failures else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,12 @@
 """Ensemble containers, sample statistics, and keyed Gaussian sampling.
 
-Every random draw is addressed by a DrawKey and generated from its own
-counter-based stream (Philox keyed by a hash of the fields). Draws therefore
-do not depend on evaluation order or ensemble size: the first N members of a
-larger ensemble are bit-identical to the members of the size-N ensemble, as
-if each role indexed one fixed infinite sequence of draws.
+Draw scheme 2, recorded in study reports as draw_scheme: each draw call is
+keyed by (seed, replicate, step, role), hashed once into a Philox key (Salmon
+et al., SC'11). Member i of an m-dimensional draw owns raw words
+[i*w, (i+1)*w) of that stream, w = m rounded up to even, turned into standard
+normals by Box-Muller. Draws therefore do not depend on evaluation order or
+ensemble size: the first N members of a larger ensemble are bit-identical to
+the members of the size-N ensemble.
 """
 
 from __future__ import annotations
@@ -21,8 +23,11 @@ import numpy as np
 from .model import GaussianState
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-_KEY_STRUCT = struct.Struct("<Qqqqq")
+_KEY_STRUCT = struct.Struct("<Qqqq")
 _HEADER_STRUCT = struct.Struct("<qq")
+
+# Recorded in study reports and config hashes; bump whenever the bits change.
+DRAW_SCHEME = 2
 
 # Jitter scales tried (relative to mean diagonal) when factoring a
 # semidefinite covariance; PSD inputs such as a singular prior are legal.
@@ -38,16 +43,15 @@ class Role(IntEnum):
 
 @dataclass(frozen=True)
 class DrawKey:
-    """Address of one random draw.
+    """Address of one draw call: all members of one role at one step.
 
-    member is the 0-based column index; step 0 is reserved for the initial
-    ensemble. Distinct keys map to statistically independent streams.
+    Step 0 is reserved for the initial ensemble. Distinct keys map to
+    statistically independent streams.
     """
 
     experiment_seed: int
     replicate: int
     step: int
-    member: int
     role: Role
 
     def philox_key(self) -> np.ndarray:
@@ -57,7 +61,6 @@ class DrawKey:
             self.experiment_seed & _MASK64,
             self.replicate,
             self.step,
-            self.member,
             int(self.role),
         )
         digest = hashlib.sha256(payload).digest()
@@ -130,32 +133,6 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
     )
 
 
-def gaussian_draw(key: DrawKey, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """One draw from N(mean, cov) on the key's stream.
-
-    Returns mean + G z with G a fixed lower-triangular factor of cov and z
-    standard normal from the keyed stream; bit-identical for identical
-    (key, mean, cov).
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
-    factor = _cov_factor(cov)
-    gen = np.random.Generator(np.random.Philox(key=key.philox_key()))
-    return mean + factor @ gen.standard_normal(mean.shape[0])
-
-
-def _reseat(bit_gen: np.random.Philox, key: np.ndarray) -> None:
-    # Rewinding a shared Philox to a fresh keyed state is bit-identical to
-    # constructing Philox(key=...) anew and roughly 10x cheaper.
-    state = bit_gen.state
-    state["state"]["counter"][:] = 0
-    state["state"]["key"][:] = key
-    state["buffer_pos"] = 4
-    state["has_uint32"] = 0
-    state["uinteger"] = 0
-    bit_gen.state = state
-
-
 def _draw_ensemble(
     seed: int, replicate: int, step: int, role: Role, n: int,
     mean: np.ndarray, cov: np.ndarray,
@@ -163,16 +140,22 @@ def _draw_ensemble(
     if n < 2:
         raise ValueError(f"ensemble size must be at least 2, got {n}")
     mean = np.asarray(mean, dtype=np.float64)
-    cov = np.asarray(cov, dtype=np.float64)
-    factor = _cov_factor(cov)
+    factor = _cov_factor(np.asarray(cov, dtype=np.float64))
     dim = mean.shape[0]
-    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bit_gen)
-    members = np.empty((dim, n))
-    for i in range(n):
-        _reseat(bit_gen, DrawKey(seed, replicate, step, i, role).philox_key())
-        # Per-column matvec keeps member i independent of n (prefix property).
-        members[:, i] = mean + factor @ gen.standard_normal(dim)
+    # Member i owns raw words [i*width, (i+1)*width); Box-Muller takes pairs.
+    width = dim + (dim & 1)
+    bit_gen = np.random.Philox(key=DrawKey(seed, replicate, step, role).philox_key())
+    words = bit_gen.random_raw(n * width).reshape(n, width // 2, 2)
+    # 53-bit uniforms in (0, 1], so the logarithm stays finite.
+    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[..., 0]))
+    angle = (2.0 * np.pi) * u[..., 1]
+    z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1).reshape(n, width)
+    # mean + G z, accumulated elementwise over k in a fixed order: a BLAS
+    # product would round differently depending on n (prefix property).
+    members = np.repeat(mean[:, None], n, axis=1)
+    for k in range(dim):
+        members += np.multiply.outer(factor[:, k], z[:, k])
     return Ensemble(members)
 
 

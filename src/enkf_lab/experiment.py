@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .enkf import CoupledState, coupled_run
-from .ensemble import sample_cov, sample_mean
+from .ensemble import DRAW_SCHEME, sample_cov, sample_mean
 from .jsonio import canonical_json, format_float, write_canonical_json
 from .kf import KalmanTrajectory, kf_run
 from .model import (
@@ -348,6 +348,7 @@ def config_hash(config: StudyConfig) -> str:
         "replicates": config.replicates,
         "p_list": list(config.p_list),
         "metrics": [m.value for m in config.metrics],
+        "draw_scheme": DRAW_SCHEME,
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
@@ -481,6 +482,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
         "steps": n_steps,
         "state_dim": config.model.state_dim,
         "obs_dim": config.model.obs_dim,
+        "draw_scheme": DRAW_SCHEME,
         "failures": failures,
         # Everything volatile between reruns lives under this one key.
         "timestamp": {

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -194,3 +195,67 @@ class TestStudyCommand:
         study.write_text(json.dumps({"n_grid": [8, 4], "replicates": 2}))
         assert main(["study", str(scalar_model_file), str(study),
                      "-o", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"replicates": "3"},
+            {"replicates": 3.0},
+            {"replicates": True},
+            {"n_grid": [4.7, 8, 16]},
+            {"n_grid": [4, True, 16]},
+            {"n_grid": "4,8,16"},
+            {"metrics": "member_lp"},
+            {"p_list": ["2"]},
+            {"seed": 1.5},
+        ],
+        ids=lambda override: json.dumps(override),
+    )
+    def test_mistyped_study_field_exit_two(self, scalar_model_file, tmp_path,
+                                           capsys, override):
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 8, 16], "replicates": 3,
+                                     **override}))
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study),
+                     "-o", str(out)]) == 2
+        (field,) = override
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_replicate_failure_reported_and_exit_one(
+        self, scalar_model_file, study_file, tmp_path, capsys, monkeypatch
+    ):
+        import enkf_lab.experiment as exp
+
+        real = exp.coupled_run
+
+        def flaky(model, init, seed, replicate, n, *args, **kwargs):
+            if replicate == 1 and n == 8:
+                raise RuntimeError("synthetic failure")
+            return real(model, init, seed, replicate, n, *args, **kwargs)
+
+        monkeypatch.setattr(exp, "coupled_run", flaky)
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study_file),
+                     "-o", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["metadata"]["failures"]) == ["8"]
+        err = capsys.readouterr().err
+        assert "N=8: 1 of 3 replicates failed" in err
+        assert "N=4" not in err and "N=16" not in err
+
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_workers_out_of_range_exit_one(self, scalar_model_file, study_file,
+                                           tmp_path, capsys, monkeypatch, workers):
+        # The bound is checked before any study work; fail loudly otherwise
+        # rather than start a pool of the requested size.
+        def no_study(*args, **kwargs):
+            raise AssertionError("run_study reached despite a bad --workers")
+
+        monkeypatch.setattr("enkf_lab.cli.run_study", no_study)
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study_file),
+                     "-o", str(out), "--workers", str(workers)]) == 1
+        assert "--workers must be between 1 and" in capsys.readouterr().err
+        assert not out.exists()
