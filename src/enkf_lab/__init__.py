@@ -48,15 +48,12 @@ from .enkf import (
     coupled_step,
     enkf_analysis,
     enkf_forecast,
-    ensemble_gain,
-    reference_analysis,
 )
 from .experiment import (
     ALL_METRICS,
     ConvergenceReport,
     Estimate,
     Metric,
-    MomentTable,
     RateFit,
     StudyConfig,
     fit_rate,
@@ -64,7 +61,6 @@ from .experiment import (
     mean_cov_error,
     member_lp_error,
     member_moment,
-    moment_monitor,
     run_study,
 )
 from .reference import reference_model, reference_study, scalar_model
@@ -85,7 +81,6 @@ __all__ = [
     "LinearModel",
     "Metric",
     "ModelFormatError",
-    "MomentTable",
     "RateFit",
     "Role",
     "StepSpec",
@@ -97,7 +92,6 @@ __all__ = [
     "coupled_step",
     "enkf_analysis",
     "enkf_forecast",
-    "ensemble_gain",
     "fit_rate",
     "gain_error",
     "init_ensemble",
@@ -111,10 +105,8 @@ __all__ = [
     "member_moment",
     "model_from_dict",
     "model_to_dict",
-    "moment_monitor",
     "perturb_data",
     "read_ensemble",
-    "reference_analysis",
     "reference_model",
     "reference_study",
     "run_study",

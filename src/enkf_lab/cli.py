@@ -236,9 +236,13 @@ def cmd_study(
             print(f"{row.metric} k={row.k}: explosion flag RAISED "
                   f"(max/min={row.max_over_min:.2f})")
     failures = report.metadata["failures"]
+    estimated = {row.n for row in report.estimates}
     for n, failed in failures.items():
         print(f"error: N={n}: {len(failed)} of {config.replicates} replicates failed",
               file=sys.stderr)
+        if int(n) not in estimated:
+            print(f"error: N={n}: fewer than 2 replicates succeeded; N={n} is "
+                  "dropped from the estimates and rate fits", file=sys.stderr)
     return EXIT_INVALID if failures else EXIT_OK
 
 

@@ -1,10 +1,13 @@
 """Replicated convergence studies over a grid of ensemble sizes.
 
-For each ensemble size N in the grid, the study runs R independent coupled
-replicates, estimates per-step error metrics against the exact filter
-(member-wise L^p distance to the reference ensemble, mean and covariance
-consistency errors, gain error) plus an L^p moment monitor, and fits log-log
-convergence rates across the grid.
+The study runs R independent coupled replicates, each one task that advances
+the coupled pair at every ensemble size N of the grid on shared draws and
+keeps five scalars per (N, step). From those it estimates per-step error
+metrics against the exact filter (member-wise L^p distance to the reference
+ensemble, mean and covariance consistency errors, gain error) plus an L^p
+moment monitor, and fits log-log convergence rates across the grid. The
+trajectory-level estimators below compute the same metrics from
+``coupled_run`` trajectories.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from enum import Enum
 
 import numpy as np
 
-from .enkf import CoupledState, coupled_run
+from .enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
+# coupled_run is not called here; bench/spans.py wraps it under this name.
+from .enkf import CoupledState, coupled_run, replicate_errors
 from .ensemble import DRAW_SCHEME, sample_cov, sample_mean
 from .jsonio import canonical_json, format_float, write_canonical_json
 from .kf import KalmanTrajectory, kf_run
@@ -47,6 +52,15 @@ class Metric(Enum):
 
 ALL_METRICS = tuple(Metric)
 
+# The column of enkf.replicate_errors' scalars each metric is estimated from.
+_COLUMN = {
+    Metric.MEMBER_LP: MEMBER_DIFF,
+    Metric.MEAN_ERR: MEAN_ERR,
+    Metric.COV_ERR: COV_ERR,
+    Metric.GAIN_ERR: GAIN_ERR,
+    Metric.MOMENT_MONITOR: MEMBER_NORM,
+}
+
 
 @dataclass(frozen=True)
 class Estimate:
@@ -70,7 +84,16 @@ class StudyConfig:
     metrics: tuple[Metric, ...] = ALL_METRICS
 
     def __post_init__(self):
+        # Integers are checked, not truncated: bool is an int subclass, and
+        # int(4.7) would silently run another grid.
+        if any(
+            isinstance(v, bool) or not isinstance(v, (int, np.integer))
+            for v in (*self.n_grid, self.replicates)
+        ):
+            raise ValueError("n_grid entries and replicates must be integers, got "
+                             f"{self.n_grid!r} and {self.replicates!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
         object.__setattr__(self, "metrics", tuple(self.metrics))
         if not self.n_grid or any(n < 2 for n in self.n_grid):
@@ -79,10 +102,14 @@ class StudyConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.replicates < 2:
             raise ValueError("replicates must be >= 2")
-        if any(p < 1 for p in self.p_list):
-            raise ValueError("moment orders must all be >= 1")
+        if not all(1 <= p < np.inf for p in self.p_list):
+            raise ValueError("moment orders must all be finite and >= 1")
+        if len(set(self.p_list)) < len(self.p_list):
+            raise ValueError(f"moment orders must be distinct, got {self.p_list}")
         if not self.metrics:
             raise ValueError("at least one metric is required")
+        if len(set(self.metrics)) < len(self.metrics):
+            raise ValueError("metrics must be distinct")
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +131,6 @@ def _member1_diff_norm(state: CoupledState) -> float:
     return float(np.linalg.norm(diff))
 
 
-def _lp_estimate(norms: np.ndarray, p: float) -> Estimate:
-    # Estimates (E |v|^p)^(1/p) by the replicate average of |v|^p; the
-    # standard error maps through the 1/p power by the delta method.
-    powers = norms**p
-    mean_power = float(powers.mean())
-    value = mean_power ** (1.0 / p)
-    if len(powers) < 2:
-        stderr = float("nan")
-    elif mean_power == 0.0:
-        stderr = 0.0
-    else:
-        se_power = float(powers.std(ddof=1)) / np.sqrt(len(powers))
-        stderr = se_power * mean_power ** (1.0 / p - 1.0) / p
-    return Estimate(value=value, stderr=stderr)
-
-
 def _mean_estimate(values: np.ndarray) -> Estimate:
     value = float(values.mean())
     if len(values) < 2:
@@ -127,6 +138,16 @@ def _mean_estimate(values: np.ndarray) -> Estimate:
     else:
         stderr = float(values.std(ddof=1)) / np.sqrt(len(values))
     return Estimate(value=value, stderr=stderr)
+
+
+def _lp_estimate(norms: np.ndarray, p: float) -> Estimate:
+    # Estimates (E |v|^p)^(1/p) by the replicate average of |v|^p; the
+    # standard error maps through the 1/p power by the delta method.
+    power = _mean_estimate(norms**p)
+    value = power.value ** (1.0 / p)
+    if power.value == 0.0:  # all norms zero: stderr 0 (NaN for one replicate)
+        return Estimate(value=value, stderr=power.stderr)
+    return Estimate(value=value, stderr=power.stderr * power.value ** (1.0 / p - 1.0) / p)
 
 
 def member_lp_error(runs, k: int, p: float) -> Estimate:
@@ -187,32 +208,11 @@ def member_moment(runs, k: int, p: float) -> Estimate:
     return _lp_estimate(norms, p)
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Per-N moment estimates at one (step, order), with the explosion flag."""
-
-    entries: tuple[tuple[int, Estimate], ...]
-    flagged: bool
-    max_over_min: float
-
-
 def _moment_ratio(values) -> float:
     lo, hi = min(values), max(values)
     if lo <= 0.0:
         return float("inf") if hi > 0.0 else 1.0
     return hi / lo
-
-
-def moment_monitor(runs_by_n, k: int, p: float) -> MomentTable:
-    """Tabulate member-1 moment estimates over the N-grid and flag if the max
-    exceeds MOMENT_FLAG_RATIO times the min."""
-    entries = tuple(
-        (n, member_moment(runs_by_n[n], k, p)) for n in sorted(runs_by_n)
-    )
-    ratio = _moment_ratio([est.value for _, est in entries])
-    return MomentTable(
-        entries=entries, flagged=ratio > MOMENT_FLAG_RATIO, max_over_min=ratio
-    )
 
 
 @dataclass(frozen=True)
@@ -354,28 +354,7 @@ def config_hash(config: StudyConfig) -> str:
 
 
 def _replicate_task(args):
-    model, init, seed, replicate, n, kf_trajectory = args
-    try:
-        return replicate, coupled_run(model, init, seed, replicate, n, kf_trajectory)
-    except Exception as exc:  # preserve partial results; counted in metadata
-        return replicate, f"{type(exc).__name__}: {exc}"
-
-
-def _collect_runs(config, n, kf_trajectory, workers):
-    tasks = [
-        (config.model, config.init, config.seed, r, n, kf_trajectory)
-        for r in range(config.replicates)
-    ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_task, tasks))
-    else:
-        results = [_replicate_task(task) for task in tasks]
-    runs = [traj for _, traj in results if not isinstance(traj, str)]
-    failures = [
-        {"replicate": r, "error": traj} for r, traj in results if isinstance(traj, str)
-    ]
-    return runs, failures
+    return replicate_errors(*args)
 
 
 def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
@@ -392,85 +371,68 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
 
     # One exact-filter run serves every replicate; the gains are N-independent.
     kf_trajectory = kf_run(config.model, config.init)
-    n_steps = len(config.model.steps)
-    want = set(config.metrics)
+
+    # One task per replicate; each returns its scalars for every (N, k).
+    tasks = [
+        (config.model, config.init, config.seed, r, config.n_grid, kf_trajectory)
+        for r in range(config.replicates)
+    ]
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_replicate_task, tasks))
+    else:
+        results = [_replicate_task(task) for task in tasks]
 
     estimates: list[EstimateRow] = []
     failures: dict[str, list] = {}
-    moment_tables: dict[tuple[float, int], list[tuple[int, Estimate]]] = {}
+    # Per (label, k) the (N, estimate) points of a rate fit; the moment
+    # monitor is a boundedness check, not an error, and gets a flag instead.
+    rate_points: dict[tuple[str, int], list[tuple[int, float]]] = {}
+    moments: dict[tuple[float, int], list[float]] = {}
 
     def add(metric: Metric, p: float | None, k: int, n: int, est: Estimate):
-        estimates.append(
-            EstimateRow(
-                metric=_metric_label(metric, p), k=k, n=n,
-                estimate=est.value, stderr=est.stderr,
-            )
-        )
+        label = _metric_label(metric, p)
+        estimates.append(EstimateRow(label, k, n, est.value, est.stderr))
+        if metric is Metric.MOMENT_MONITOR:
+            moments.setdefault((p, k), []).append(est.value)
+        else:
+            rate_points.setdefault((label, k), []).append((n, est.value))
 
-    for n in config.n_grid:
-        runs, failed = _collect_runs(config, n, kf_trajectory, workers)
+    for j, n in enumerate(config.n_grid):
+        failed = [{"replicate": r, "error": lost[n]}
+                  for r, (_, lost) in enumerate(results) if n in lost]
         if failed:
             failures[str(n)] = failed
-        if len(runs) < 2:
+        done = [scalars[j] for scalars, lost in results if n not in lost]
+        if len(done) < 2:
             continue
-        for k in range(n_steps + 1):
-            if Metric.MEMBER_LP in want:
-                for p in config.p_list:
-                    add(Metric.MEMBER_LP, p, k, n, member_lp_error(runs, k, p))
-            if Metric.MEAN_ERR in want or Metric.COV_ERR in want:
-                mean_est, cov_est = mean_cov_error(runs, kf_trajectory, k)
-                if Metric.MEAN_ERR in want:
-                    add(Metric.MEAN_ERR, None, k, n, mean_est)
-                if Metric.COV_ERR in want:
-                    add(Metric.COV_ERR, None, k, n, cov_est)
-            if Metric.GAIN_ERR in want and k >= 1:
-                add(Metric.GAIN_ERR, None, k, n, gain_error(runs, k))
-            if Metric.MOMENT_MONITOR in want:
-                for p in config.p_list:
-                    est = member_moment(runs, k, p)
-                    add(Metric.MOMENT_MONITOR, p, k, n, est)
-                    moment_tables.setdefault((p, k), []).append((n, est))
-        del runs
+        # (steps + 1, 5, replicates): each scalar's replicate values contiguous
+        for k, col in enumerate(np.stack(done, axis=-1)):
+            for metric in config.metrics:
+                values = col[_COLUMN[metric]]
+                if metric in (Metric.MEMBER_LP, Metric.MOMENT_MONITOR):
+                    for p in config.p_list:
+                        add(metric, p, k, n, _lp_estimate(values, p))
+                elif metric is not Metric.GAIN_ERR or k >= 1:
+                    add(metric, None, k, n, _mean_estimate(values))
 
     estimates.sort(key=lambda row: (row.metric, row.k, row.n))
-
-    # Log-log rate fits for the error metrics; the moment monitor is a
-    # boundedness check, not an error, and gets a flag instead.
-    rate_metrics = [
-        _metric_label(Metric.MEMBER_LP, p)
-        for p in config.p_list
-        if Metric.MEMBER_LP in want
-    ]
-    for metric in (Metric.MEAN_ERR, Metric.COV_ERR, Metric.GAIN_ERR):
-        if metric in want:
-            rate_metrics.append(_metric_label(metric, None))
-
-    by_key: dict[tuple[str, int], list[tuple[int, float]]] = {}
-    for row in estimates:
-        if row.metric in rate_metrics:
-            by_key.setdefault((row.metric, row.k), []).append((row.n, row.estimate))
     rates: list[RateRow] = []
-    for (metric, k), points in sorted(by_key.items()):
+    for (metric, k), points in sorted(rate_points.items()):
         positive = [(n, e) for n, e in points if e > 0.0]
         if len(positive) < 3:
             continue
         fit = fit_rate(positive)
-        rates.append(
-            RateRow(
-                metric=metric, k=k, slope=fit.slope, intercept=fit.intercept,
-                max_residual=fit.max_residual, points_used=len(positive),
-                dropped_nonpositive=len(points) - len(positive),
-            )
-        )
-
-    moment_flags = [
-        MomentFlagRow(
-            metric=_metric_label(Metric.MOMENT_MONITOR, p), k=k,
-            flagged=_moment_ratio([e.value for _, e in entries]) > MOMENT_FLAG_RATIO,
-            max_over_min=_moment_ratio([e.value for _, e in entries]),
-        )
-        for (p, k), entries in sorted(moment_tables.items())
-    ]
+        rates.append(RateRow(
+            metric=metric, k=k, slope=fit.slope, intercept=fit.intercept,
+            max_residual=fit.max_residual, points_used=len(positive),
+            dropped_nonpositive=len(points) - len(positive),
+        ))
+    moment_flags = []
+    for (p, k), values in sorted(moments.items()):
+        ratio = _moment_ratio(values)
+        label = _metric_label(Metric.MOMENT_MONITOR, p)
+        moment_flags.append(MomentFlagRow(label, k, ratio > MOMENT_FLAG_RATIO, ratio))
 
     metadata = {
         "seed": config.seed,
@@ -479,7 +441,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
         "replicates": config.replicates,
         "p_list": list(config.p_list),
         "metrics": [m.value for m in config.metrics],
-        "steps": n_steps,
+        "steps": len(config.model.steps),
         "state_dim": config.model.state_dim,
         "obs_dim": config.model.obs_dim,
         "draw_scheme": DRAW_SCHEME,

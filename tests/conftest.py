@@ -40,5 +40,34 @@ def random_spd(rng, dim, scale=1.0):
 
 
 @pytest.fixture
+def fail_chains(monkeypatch):
+    """Arm the study kernel to fail the chains of some replicates at one N.
+
+    ``fail_chains(replicates, n)`` makes ``coupled_step`` raise for those
+    replicates at ensemble size n only; the other sizes run on. In-process
+    runs only (workers=1).
+    """
+    import enkf_lab.enkf as enkf
+
+    real_init, real_step = enkf.init_ensemble, enkf.coupled_step
+    current = {}
+
+    def init_ensemble(seed, replicate, size, init):
+        current["replicate"] = replicate
+        return real_init(seed, replicate, size, init)
+
+    def arm(replicates, n):
+        def coupled_step(state, *args, **kwargs):
+            if current["replicate"] in replicates and state.enkf_ensemble.size == n:
+                raise RuntimeError("synthetic failure")
+            return real_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(enkf, "init_ensemble", init_ensemble)
+        monkeypatch.setattr(enkf, "coupled_step", coupled_step)
+
+    return arm
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -224,18 +224,9 @@ class TestStudyCommand:
         assert not out.exists()
 
     def test_replicate_failure_reported_and_exit_one(
-        self, scalar_model_file, study_file, tmp_path, capsys, monkeypatch
+        self, scalar_model_file, study_file, tmp_path, capsys, fail_chains
     ):
-        import enkf_lab.experiment as exp
-
-        real = exp.coupled_run
-
-        def flaky(model, init, seed, replicate, n, *args, **kwargs):
-            if replicate == 1 and n == 8:
-                raise RuntimeError("synthetic failure")
-            return real(model, init, seed, replicate, n, *args, **kwargs)
-
-        monkeypatch.setattr(exp, "coupled_run", flaky)
+        fail_chains({1}, 8)
         out = tmp_path / "out"
         assert main(["study", str(scalar_model_file), str(study_file),
                      "-o", str(out)]) == 1
@@ -243,7 +234,44 @@ class TestStudyCommand:
         assert list(report["metadata"]["failures"]) == ["8"]
         err = capsys.readouterr().err
         assert "N=8: 1 of 3 replicates failed" in err
+        assert "dropped" not in err
         assert "N=4" not in err and "N=16" not in err
+        # the two surviving replicates still estimate N=8
+        assert {row["n"] for row in report["estimates"]} == {4, 8, 16}
+
+    def test_dropped_n_reported_and_exit_one(
+        self, scalar_model_file, study_file, tmp_path, capsys, fail_chains
+    ):
+        fail_chains({0, 2}, 16)
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study_file),
+                     "-o", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert {row["n"] for row in report["estimates"]} == {4, 8}
+        err = capsys.readouterr().err
+        assert "N=16: 2 of 3 replicates failed" in err
+        assert "N=16 is dropped from the estimates and rate fits" in err
+        assert "N=4" not in err and "N=8" not in err
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"p_list": [2, 2]}, "moment orders must be distinct"),
+            ({"p_list": [float("nan")]}, "moment orders must all be finite"),
+            ({"metrics": ["mean_err", "mean_err"]}, "metrics must be distinct"),
+        ],
+        ids=["duplicate-p", "nan-p", "duplicate-metric"],
+    )
+    def test_invalid_study_value_exit_one(self, scalar_model_file, tmp_path,
+                                          capsys, override, message):
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 8, 16], "replicates": 3,
+                                     **override}))
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study),
+                     "-o", str(out)]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_workers_out_of_range_exit_one(self, scalar_model_file, study_file,

@@ -11,14 +11,13 @@ from enkf_lab import (
     coupled_step,
     enkf_analysis,
     enkf_forecast,
-    ensemble_gain,
     kf_gain,
     kf_run,
     perturb_data,
-    reference_analysis,
     sample_cov,
     sample_mean,
 )
+from enkf_lab.enkf import replicate_errors
 
 
 class TestForecastAndGain:
@@ -35,20 +34,30 @@ class TestForecastAndGain:
         out = enkf_forecast(model, 1, ens)
         assert np.array_equal(out.members, np.full((1, 5), 7.0))
 
-    def test_gain_is_kf_gain_on_same_input(self, rng):
-        q = rng.standard_normal((3, 3))
-        q = q @ q.T
-        h = rng.standard_normal((2, 3))
-        r = np.eye(2)
-        assert np.array_equal(ensemble_gain(q, h, r), kf_gain(q, h, r))
+    def test_gain_is_kf_gain_on_same_input(self, reference, reference_kf):
+        # the ensemble gain is the exact-gain formula and solver applied to
+        # the forecast sample covariance, entry for entry
+        model, init = reference
+        run = coupled_run(model, init, 2, 1, 12, kf_trajectory=reference_kf)
+        for k in range(1, len(run)):
+            step = model.step(k)
+            xf = enkf_forecast(model, k, run[k - 1].enkf_ensemble)
+            expected = kf_gain(sample_cov(xf), step.H, step.R)
+            assert np.array_equal(run[k].ensemble_gain, expected)
 
-    def test_scalar_gain_value(self):
-        gain = ensemble_gain(np.array([[3.0]]), np.array([[1.0]]), np.array([[1.0]]))
-        assert gain[0, 0] == 0.75
+    def test_scalar_gain_value(self, scalar, scalar_kf):
+        # forecast variance 3 against R = 1 gives the gain 3 / (3 + 1)
+        model, init = scalar
+        run = coupled_run(model, init, 0, 0, 8, kf_trajectory=scalar_kf,
+                          forecast_cov_override=lambda k: np.array([[3.0]]))
+        assert run[1].ensemble_gain[0, 0] == 0.75
 
-    def test_zero_cov_zero_gain(self):
-        gain = ensemble_gain(np.zeros((2, 2)), np.ones((1, 2)), np.eye(1))
-        assert np.array_equal(gain, np.zeros((2, 1)))
+    def test_zero_cov_zero_gain(self, reference, reference_kf):
+        model, init = reference
+        run = coupled_run(model, init, 0, 0, 8, kf_trajectory=reference_kf,
+                          forecast_cov_override=lambda k: np.zeros((4, 4)))
+        for state in run[1:]:
+            assert np.array_equal(state.ensemble_gain, np.zeros((4, 2)))
 
     def test_forecast_is_apply_model_on_the_matrix(self, reference, rng):
         from enkf_lab import apply_model
@@ -88,15 +97,20 @@ class TestAnalysis:
         with pytest.raises(ValueError, match="members"):
             enkf_analysis(xf, d, np.zeros((2, 1)), np.ones((1, 2)))
 
-    def test_reference_analysis_same_formula(self, rng):
-        xf = Ensemble(rng.standard_normal((2, 4)))
-        d = Ensemble(rng.standard_normal((1, 4)))
-        gain = rng.standard_normal((2, 1))
-        h = rng.standard_normal((1, 2))
-        assert np.array_equal(
-            reference_analysis(xf, d, gain, h).members,
-            enkf_analysis(xf, d, gain, h).members,
-        )
+    def test_reference_analysis_same_formula(self, reference, reference_kf):
+        # U is updated by the EnKF formula with the exact gain, on the same
+        # data ensemble as X, bit for bit
+        model, init = reference
+        seed, rep, n = 6, 2, 10
+        run = coupled_run(model, init, seed, rep, n, kf_trajectory=reference_kf)
+        for k in range(1, len(run)):
+            step = model.step(k)
+            uf = enkf_forecast(model, k, run[k - 1].reference_ensemble)
+            d = perturb_data(seed, rep, k, n, step.data, step.R)
+            assert np.array_equal(
+                run[k].reference_ensemble.members,
+                enkf_analysis(uf, d, reference_kf.gain(k), step.H).members,
+            )
 
     def test_reference_members_follow_filtering_law(self, scalar, scalar_kf):
         # advancing one member chain with the exact gain yields samples of
@@ -152,7 +166,7 @@ class TestCoupledStep:
         model, init = scalar
         run = coupled_run(model, init, 0, 0, 8, kf_trajectory=scalar_kf)
         with pytest.raises(ValueError, match="out of range"):
-            coupled_step(run[3], model, 0, 0, scalar_kf)
+            coupled_step(run[3], model, run[3].enkf_ensemble, scalar_kf)
 
 
 class TestCoupledRun:
@@ -223,9 +237,9 @@ class TestCoupledRun:
             uf = enkf_forecast(model, k, u)
             d = perturb_data(seed, rep, k, n, step.data, step.R)
             d = Ensemble(d.members[:, perm])
-            gain = ensemble_gain(sample_cov(xf), step.H, step.R)
+            gain = kf_gain(sample_cov(xf), step.H, step.R)
             x = enkf_analysis(xf, d, gain, step.H)
-            u = reference_analysis(uf, d, reference_kf.gain(k), step.H)
+            u = enkf_analysis(uf, d, reference_kf.gain(k), step.H)
 
             orig = run[k]
             assert np.abs(x.members - orig.enkf_ensemble.members[:, perm]).max() < 1e-12
@@ -266,6 +280,78 @@ class TestCoupledRun:
         sigma = np.sqrt(exact.cov[0, 0])
         assert abs(pooled.mean() - exact.mean[0]) <= 4 * sigma / np.sqrt(reps * n)
         assert abs(pooled.var() - exact.cov[0, 0]) <= 0.1 * exact.cov[0, 0]
+
+
+def _odd_model():
+    """3 states, 1 observation: odd dimensions in both draw roles."""
+    a = np.array([[0.9, 0.1, 0.0], [0.0, 0.8, 0.2], [0.1, 0.0, 0.7]])
+    steps = tuple(
+        StepSpec(A=a, b=[0.1, 0.0, -0.1], H=[[1.0, 0.5, 0.0]], R=[[0.3]], data=[d])
+        for d in (0.4, -0.2, 0.9)
+    )
+    init = GaussianState(mean=[0.5, 0.0, -0.5],
+                         cov=[[0.4, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.5]])
+    return LinearModel(steps=steps, state_dim=3, obs_dim=1), init
+
+
+def _run_scalars(run, trajectory):
+    """The five kernel scalars per step, recomputed from a coupled_run."""
+    rows = []
+    for k, state in enumerate(run):
+        x, u = state.enkf_ensemble, state.reference_ensemble
+        exact = trajectory.analysis(k)
+        rows.append([
+            np.linalg.norm(x.members[:, 0] - u.members[:, 0]),
+            np.linalg.norm(x.members[:, 0]),
+            np.linalg.norm(sample_mean(x) - exact.mean),
+            np.linalg.norm(sample_cov(x) - exact.cov, ord="fro"),
+            np.nan if k == 0 else
+            np.linalg.norm(state.ensemble_gain - state.exact_gain, ord="fro"),
+        ])
+    return np.array(rows)
+
+
+class TestReplicateErrors:
+    @pytest.mark.parametrize("problem", ["scalar", "reference", "odd"])
+    def test_matches_coupled_run_at_every_n(self, request, problem):
+        # slices of the largest draw give bit-identical chains at every N
+        if problem == "odd":
+            model, init = _odd_model()
+        else:
+            model, init = request.getfixturevalue(problem)
+        trajectory = kf_run(model, init)
+        n_grid = (2, 5, 16, 33)
+        for replicate in (0, 3):
+            scalars, failures = replicate_errors(model, init, 7, replicate, n_grid,
+                                                 trajectory)
+            assert failures == {}
+            assert scalars.shape == (len(n_grid), len(model.steps) + 1, 5)
+            for j, n in enumerate(n_grid):
+                run = coupled_run(model, init, 7, replicate, n, kf_trajectory=trajectory)
+                assert np.array_equal(scalars[j], _run_scalars(run, trajectory),
+                                      equal_nan=True)
+
+    def test_chain_failure_stops_that_n_only(self, scalar, scalar_kf, fail_chains):
+        model, init = scalar
+        n_grid = (4, 8, 16)
+        clean, _ = replicate_errors(model, init, 0, 1, n_grid, scalar_kf)
+        fail_chains({1}, 8)
+        scalars, failures = replicate_errors(model, init, 0, 1, n_grid, scalar_kf)
+        assert failures == {8: "RuntimeError: synthetic failure"}
+        assert np.array_equal(scalars[[0, 2]], clean[[0, 2]], equal_nan=True)
+        assert np.isnan(scalars[1, 1:]).all()
+
+    def test_failed_draw_fails_every_n(self, scalar, scalar_kf, monkeypatch):
+        import enkf_lab.enkf as enkf
+
+        def broken(seed, replicate, k, n, data, r_cov):
+            raise RuntimeError(f"no draw at step {k}")
+
+        monkeypatch.setattr(enkf, "perturb_data", broken)
+        model, init = scalar
+        _, failures = replicate_errors(model, init, 0, 0, (4, 8), scalar_kf)
+        assert failures == {4: "RuntimeError: no draw at step 1",
+                            8: "RuntimeError: no draw at step 1"}
 
 
 class TestCoupledState:

@@ -14,7 +14,6 @@ from enkf_lab import (
     mean_cov_error,
     member_lp_error,
     member_moment,
-    moment_monitor,
     run_study,
 )
 from enkf_lab.experiment import config_hash
@@ -166,11 +165,20 @@ class TestMomentMonitor:
         est = member_moment(runs, 0, 2)
         assert abs(est.value - 1.0) <= 3 * est.stderr
 
-    def test_monitor_table_and_flag(self, scalar_runs):
-        table = moment_monitor(scalar_runs, 3, 4)
-        assert [n for n, _ in table.entries] == [16, 4096]
-        assert not table.flagged
-        assert table.max_over_min < 3.0
+    def test_monitor_table_and_flag(self, scalar, scalar_runs):
+        # the study tabulates member_moment over the grid and flags a
+        # max/min ratio above MOMENT_FLAG_RATIO
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, n_grid=(16, 4096),
+                             replicates=100, p_list=(4.0,),
+                             metrics=(Metric.MOMENT_MONITOR,))
+        report = run_study(config)
+        table = [member_moment(scalar_runs[n], 3, 4).value for n in (16, 4096)]
+        assert [report.estimate("moment_p4", 3, n).estimate for n in (16, 4096)] == table
+        (flag,) = [row for row in report.moment_flags if row.k == 3]
+        assert flag.max_over_min == max(table) / min(table)
+        assert not flag.flagged
+        assert flag.max_over_min < 3.0
 
 
 class TestFitRate:
@@ -216,6 +224,32 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=">= 1"):
             StudyConfig(model=model, init=init, n_grid=(2, 4), replicates=2,
                         p_list=(0.5,))
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("n_grid", (4.7, 8, 16), "integers"),
+            ("n_grid", (4, True, 16), "integers"),
+            ("replicates", 2.5, "integers"),
+            ("replicates", True, "integers"),
+            ("p_list", (2, 2.0), "distinct"),
+            ("p_list", (float("nan"),), "finite"),
+            ("p_list", (2.0, float("inf")), "finite"),
+            ("metrics", (Metric.GAIN_ERR, Metric.MEAN_ERR, Metric.GAIN_ERR), "distinct"),
+        ],
+    )
+    def test_rejected_not_coerced(self, scalar, field, value, match):
+        model, init = scalar
+        fields = {"n_grid": (4, 8, 16), "replicates": 2, field: value}
+        with pytest.raises(ValueError, match=match):
+            StudyConfig(model=model, init=init, **fields)
+
+    def test_numpy_integers_accepted_as_int(self, scalar):
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, n_grid=np.array([4, 8]),
+                             replicates=np.int64(3))
+        assert config.n_grid == (4, 8) and config.replicates == 3
+        assert all(type(v) is int for v in (*config.n_grid, config.replicates))
 
 
 class TestRunStudy:
@@ -279,18 +313,17 @@ class TestRunStudy:
         )
 
     def test_partial_replicate_failure_preserved(self, scalar, monkeypatch):
-        import enkf_lab.experiment as exp
+        # a failed draw of replicate 1 fails it at every N
+        import enkf_lab.enkf as enkf
 
-        real = exp.coupled_run
+        real = enkf.perturb_data
 
-        def flaky(model, init, seed, replicate, n, kf_trajectory=None,
-                  forecast_cov_override=None):
+        def flaky(seed, replicate, k, n, data, r_cov):
             if replicate == 1:
                 raise RuntimeError("synthetic failure")
-            return real(model, init, seed, replicate, n, kf_trajectory,
-                        forecast_cov_override)
+            return real(seed, replicate, k, n, data, r_cov)
 
-        monkeypatch.setattr(exp, "coupled_run", flaky)
+        monkeypatch.setattr(enkf, "perturb_data", flaky)
         model, init = scalar
         config = StudyConfig(model=model, init=init, n_grid=(4, 8), replicates=3,
                              p_list=(2.0,))
@@ -301,6 +334,51 @@ class TestRunStudy:
             assert "synthetic failure" in entry["error"]
         # surviving replicates still produce estimates
         assert report.estimate("member_lp_p2", 1, 4).estimate > 0
+
+    def test_matches_public_estimators(self, scalar, scalar_kf):
+        # the study's estimates equal the trajectory-level estimators applied
+        # to coupled_run trajectories, bit for bit
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, seed=4, n_grid=(4, 8, 16),
+                             replicates=5, p_list=(2.0, 3.5))
+        report = run_study(config)
+
+        def check(metric, k, n, est):
+            row = report.estimate(metric, k, n)
+            assert (row.estimate, row.stderr) == (est.value, est.stderr)
+
+        for n in config.n_grid:
+            runs = [coupled_run(model, init, 4, r, n, kf_trajectory=scalar_kf)
+                    for r in range(config.replicates)]
+            for k in range(len(model.steps) + 1):
+                for p, label in ((2.0, "p2"), (3.5, "p3.5")):
+                    check(f"member_lp_{label}", k, n, member_lp_error(runs, k, p))
+                    check(f"moment_{label}", k, n, member_moment(runs, k, p))
+                mean_est, cov_est = mean_cov_error(runs, scalar_kf, k)
+                check("mean_err", k, n, mean_est)
+                check("cov_err", k, n, cov_est)
+                if k >= 1:
+                    check("gain_err", k, n, gain_error(runs, k))
+        assert len(report.estimates) == 3 * (4 * 6 + 3)
+
+    def test_one_pool_per_study(self, scalar, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16),
+                             replicates=3, p_list=(2.0,))
+        run_study(config, workers=2)
+        assert started == [{"max_workers": 2}]
+        run_study(config)
+        assert len(started) == 1
 
     def test_all_zero_metric_gets_no_rate_fit(self, scalar):
         model, init = scalar
