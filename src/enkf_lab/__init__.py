@@ -13,12 +13,10 @@ from .model import (
     ModelFormatError,
     StepSpec,
     ValidationError,
-    ValidationResult,
     apply_model,
     load_model,
     model_from_dict,
     model_to_dict,
-    validate_gaussian_state,
     validate_model,
 )
 from .kf import (
@@ -40,7 +38,6 @@ from .ensemble import (
     sample_cov,
     sample_mean,
     write_ensemble,
-    write_ensemble_csv,
 )
 from .enkf import (
     CoupledState,
@@ -86,7 +83,6 @@ __all__ = [
     "StepSpec",
     "StudyConfig",
     "ValidationError",
-    "ValidationResult",
     "apply_model",
     "coupled_run",
     "coupled_step",
@@ -113,8 +109,6 @@ __all__ = [
     "sample_cov",
     "sample_mean",
     "scalar_model",
-    "validate_gaussian_state",
     "validate_model",
     "write_ensemble",
-    "write_ensemble_csv",
 ]

@@ -14,6 +14,7 @@ Seed precedence: --seed flag > study file > ENKF_LAB_SEED env var > 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,27 +22,16 @@ from pathlib import Path
 
 from .enkf import coupled_run
 from .ensemble import write_ensemble
-from .experiment import ALL_METRICS, Metric, StudyConfig, run_study
+from .experiment import ALL_METRICS, Metric, StudyConfig, StudyFormatError, run_study
 from .jsonio import write_canonical_json
 from .kf import kf_run
-from .model import (
-    GaussianState,
-    LinearModel,
-    ModelFormatError,
-    ValidationError,
-    load_model,
-    validate_model,
-)
+from .model import GaussianState, LinearModel, ModelFormatError, ValidationError, load_model
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 
 SEED_ENV_VAR = "ENKF_LAB_SEED"
-
-
-class StudyFormatError(ValueError):
-    """A study file cannot be parsed into a StudyConfig."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,12 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_validate(model_path: str) -> int:
-    model, _ = load_model(model_path, validate=False)
-    result = validate_model(model)
-    if not result.ok:
-        for violation in result.violations:
-            print(violation, file=sys.stderr)
-        return EXIT_INVALID
+    model, _ = load_model(model_path)
     print(
         f"model ok: state_dim={model.state_dim} obs_dim={model.obs_dim} "
         f"steps={len(model.steps)}"
@@ -118,50 +103,30 @@ def cmd_kf(model_path: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _typed(value, kind, what: str):
-    # bool is an int subclass; floats and strings would be truncated or parsed.
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise StudyFormatError(f"{what}, got {value!r}")
-    return value
-
-
 def _build_study_config(
     raw: dict, model: LinearModel, init: GaussianState, cli_seed: int | None
 ) -> StudyConfig:
+    # StudyConfig checks the types of the fields it is given.
     if "n_grid" not in raw or "replicates" not in raw:
         raise StudyFormatError("study file needs n_grid and replicates")
-    n_grid = _typed(raw["n_grid"], list, "n_grid must be a list")
-    for n in n_grid:
-        _typed(n, int, "n_grid entries must be integers")
-    p_list = _typed(raw.get("p_list", [2.0, 4.0]), list, "p_list must be a list")
-    for p in p_list:
-        _typed(p, (int, float), "p_list entries must be numbers")
     metric_names = raw.get("metrics")
     if metric_names is None:
         metrics = ALL_METRICS
+    elif not isinstance(metric_names, list):
+        raise StudyFormatError(f"metrics must be a list, got {metric_names!r}")
     else:
-        _typed(metric_names, list, "metrics must be a list")
         try:
             metrics = tuple(Metric(name) for name in metric_names)
         except ValueError as exc:
             raise StudyFormatError(f"unknown metric in study file: {exc}") from exc
-    seed = raw.get("seed")
-    if seed is not None:
-        _typed(seed, int, "seed must be an integer")
     # Seed precedence: --seed flag > study file > environment variable > 0.
-    if cli_seed is not None:
-        seed = cli_seed
-    elif seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    return StudyConfig(
-        model=model,
-        init=init,
-        seed=seed,
-        n_grid=n_grid,
-        replicates=_typed(raw["replicates"], int, "replicates must be an integer"),
-        p_list=p_list,
-        metrics=metrics,
-    )
+    # The flag replaces the file's seed only after StudyConfig has checked it.
+    seed = raw.get("seed")
+    if seed is None:
+        seed = int(os.environ.get(SEED_ENV_VAR, "0")) if cli_seed is None else cli_seed
+    fields = {key: raw[key] for key in ("n_grid", "replicates", "p_list") if key in raw}
+    config = StudyConfig(model=model, init=init, seed=seed, metrics=metrics, **fields)
+    return config if cli_seed is None else dataclasses.replace(config, seed=cli_seed)
 
 
 def _dump_trajectories(out: Path, config: StudyConfig) -> None:
@@ -267,7 +232,11 @@ def main(argv=None) -> int:
     except (ModelFormatError, StudyFormatError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
+        for violation in exc.violations:
+            print(f"error: {violation}", file=sys.stderr)
+        return EXIT_INVALID
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

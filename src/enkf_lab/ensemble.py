@@ -11,7 +11,6 @@ the members of the size-N ensemble.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import struct
 from dataclasses import dataclass
@@ -183,8 +182,7 @@ def perturb_data(
 
 # ---------------------------------------------------------------------------
 # Serialization: flat binary (header m, N as little-endian int64, then
-# column-major float64 payload) for checkpointing, CSV (one member per row)
-# for inspection.
+# column-major float64 payload) for checkpointing.
 # ---------------------------------------------------------------------------
 
 
@@ -210,9 +208,3 @@ def read_ensemble(path) -> Ensemble:
     members = np.frombuffer(payload, dtype="<f8").reshape((dim, n), order="F")
     return Ensemble(members.copy())
 
-
-def write_ensemble_csv(path, ensemble: Ensemble) -> None:
-    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for i in range(ensemble.size):
-            writer.writerow(f"{v:.17g}" for v in ensemble.members[:, i])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import time
-import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -28,14 +28,7 @@ from .enkf import CoupledState, coupled_run, replicate_errors
 from .ensemble import DRAW_SCHEME, sample_cov, sample_mean
 from .jsonio import canonical_json, format_float, write_canonical_json
 from .kf import KalmanTrajectory, kf_run
-from .model import (
-    GaussianState,
-    LinearModel,
-    ValidationError,
-    model_to_dict,
-    validate_gaussian_state,
-    validate_model,
-)
+from .model import GaussianState, LinearModel, model_to_dict
 
 # Moment estimates across the N-grid exceeding this max/min ratio raise the
 # no-explosion flag (an empirical boundedness check, not a proof).
@@ -73,6 +66,28 @@ class Estimate:
     stderr: float
 
 
+class StudyFormatError(ValueError):
+    """A study field has the wrong type."""
+
+
+def _checked(name: str, value, kinds, what: str):
+    # Checked, not coerced: bool is an int subclass, and int(4.7) or
+    # float("2") would silently run another study.
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise StudyFormatError(f"{name} takes {what} only, got {value!r}")
+    return value
+
+
+def _entries(name: str, values, kinds, what: str) -> tuple:
+    if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+        raise StudyFormatError(f"{name} must be a sequence, got {values!r}")
+    return tuple(_checked(name, v, kinds, what) for v in values)
+
+
+_INTEGER = (int, np.integer)
+_NUMBER = (int, float, np.integer, np.floating)
+
+
 @dataclass(frozen=True, eq=False)
 class StudyConfig:
     model: LinearModel
@@ -84,18 +99,18 @@ class StudyConfig:
     metrics: tuple[Metric, ...] = ALL_METRICS
 
     def __post_init__(self):
-        # Integers are checked, not truncated: bool is an int subclass, and
-        # int(4.7) would silently run another grid.
-        if any(
-            isinstance(v, bool) or not isinstance(v, (int, np.integer))
-            for v in (*self.n_grid, self.replicates)
-        ):
-            raise ValueError("n_grid entries and replicates must be integers, got "
-                             f"{self.n_grid!r} and {self.replicates!r}")
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "p_list", tuple(float(p) for p in self.p_list))
-        object.__setattr__(self, "metrics", tuple(self.metrics))
+        # A wrong type raises StudyFormatError; numpy scalars are stored as
+        # the Python int or float they equal.
+        seed = _checked("seed", self.seed, _INTEGER, "integers")
+        n_grid = _entries("n_grid", self.n_grid, _INTEGER, "integers")
+        replicates = _checked("replicates", self.replicates, _INTEGER, "integers")
+        p_list = _entries("p_list", self.p_list, _NUMBER, "numbers")
+        metrics = _entries("metrics", self.metrics, Metric, "Metric members")
+        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "n_grid", tuple(int(n) for n in n_grid))
+        object.__setattr__(self, "replicates", int(replicates))
+        object.__setattr__(self, "p_list", tuple(float(p) for p in p_list))
+        object.__setattr__(self, "metrics", metrics)
         if not self.n_grid or any(n < 2 for n in self.n_grid):
             raise ValueError("n_grid entries must all be >= 2")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -220,22 +235,18 @@ class RateFit:
     slope: float
     intercept: float
     max_residual: float
+    points_used: int
+    dropped_nonpositive: int
 
 
 def fit_rate(points) -> RateFit:
     """Ordinary least squares of log(error) on log(N).
 
-    Nonpositive errors (a metric that hit exact zero) are dropped with a
-    warning; at least 3 positive points must remain.
+    Nonpositive errors (a metric that hit exact zero) are dropped and counted
+    in ``dropped_nonpositive``; at least 3 positive points must remain.
     """
     points = list(points)
     positive = [(n, e) for n, e in points if e > 0.0]
-    dropped = len(points) - len(positive)
-    if dropped:
-        warnings.warn(
-            f"dropped {dropped} nonpositive error value(s) from log-log rate fit",
-            stacklevel=2,
-        )
     if len(positive) < 3:
         raise ValueError(
             f"rate fit needs at least 3 positive points, got {len(positive)}"
@@ -248,6 +259,8 @@ def fit_rate(points) -> RateFit:
         slope=float(slope),
         intercept=float(intercept),
         max_residual=float(residuals.max()),
+        points_used=len(positive),
+        dropped_nonpositive=len(points) - len(positive),
     )
 
 
@@ -364,12 +377,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
     the result does not depend on scheduling or on the worker count.
     """
     started = time.perf_counter()
-    result = validate_model(config.model)
-    if not result.ok:
-        raise ValidationError(result.violations)
-    validate_gaussian_state(config.init)
-
-    # One exact-filter run serves every replicate; the gains are N-independent.
+    # One exact-filter run, which also checks the problem, serves every
+    # replicate; the gains are N-independent.
     kf_trajectory = kf_run(config.model, config.init)
 
     # One task per replicate; each returns its scalars for every (N, k).
@@ -419,15 +428,11 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
     estimates.sort(key=lambda row: (row.metric, row.k, row.n))
     rates: list[RateRow] = []
     for (metric, k), points in sorted(rate_points.items()):
-        positive = [(n, e) for n, e in points if e > 0.0]
-        if len(positive) < 3:
+        try:
+            fit = fit_rate(points)
+        except ValueError:  # fewer than 3 positive points: no rate to fit
             continue
-        fit = fit_rate(positive)
-        rates.append(RateRow(
-            metric=metric, k=k, slope=fit.slope, intercept=fit.intercept,
-            max_residual=fit.max_residual, points_used=len(positive),
-            dropped_nonpositive=len(points) - len(positive),
-        ))
+        rates.append(RateRow(metric, k, **vars(fit)))
     moment_flags = []
     for (p, k), values in sorted(moments.items()):
         ratio = _moment_ratio(values)

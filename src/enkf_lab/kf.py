@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import GaussianState, LinearModel, validate_gaussian_state
+from .model import GaussianState, LinearModel, validate_model
 
 # Gains are plain (state_dim x obs_dim) float arrays.
 GainMatrix = np.ndarray
@@ -26,10 +26,6 @@ def kf_forecast(prior: GaussianState, model: LinearModel, k: int) -> GaussianSta
     covariance A Q A^T (the dynamics carry no process noise).
     """
     step = model.step(k)
-    if step.A.shape[1] != prior.dim:
-        raise ValueError(
-            f"state dimension {prior.dim} does not match dynamics {step.A.shape}"
-        )
     mean = step.A @ prior.mean + step.b
     cov = step.A @ prior.cov @ step.A.T
     cov = 0.5 * (cov + cov.T)
@@ -112,12 +108,9 @@ class KalmanTrajectory:
 
 
 def kf_run(model: LinearModel, init: GaussianState) -> KalmanTrajectory:
-    """Run the full forecast/gain/analysis recursion over all model steps."""
-    validate_gaussian_state(init)
-    if init.dim != model.state_dim:
-        raise ValueError(
-            f"init dimension {init.dim} does not match state_dim {model.state_dim}"
-        )
+    """Check the problem with validate_model, then run the full
+    forecast/gain/analysis recursion over all model steps."""
+    validate_model(model, init)
     steps: list[KalmanStep] = []
     state = init
     for k in range(1, len(model.steps) + 1):

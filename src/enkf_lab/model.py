@@ -63,22 +63,6 @@ class GaussianState:
         return self.mean.shape[0]
 
 
-def validate_gaussian_state(state: GaussianState) -> None:
-    """Check symmetry and positive semidefiniteness of the covariance.
-
-    Raises ValueError on violation. Semidefinite (including singular and all
-    zero) covariances are legal.
-    """
-    if not _is_symmetric(state.cov):
-        raise ValueError("state covariance is not symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (state.cov + state.cov.T))
-    bound = -PSD_EIG_RTOL * max(np.abs(eigs).max(), 1e-300)
-    if eigs.min() < bound:
-        raise ValueError(
-            f"state covariance is not positive semidefinite (min eigenvalue {eigs.min():g})"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class StepSpec:
     """One filtering step: dynamics u -> A u + b, observation operator H,
@@ -128,15 +112,6 @@ class LinearModel:
         return self.steps[k - 1]
 
 
-@dataclass
-class ValidationResult:
-    ok: bool
-    violations: list[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def _is_symmetric(mat: np.ndarray) -> bool:
     if mat.shape[0] != mat.shape[1]:
         return False
@@ -154,15 +129,24 @@ def _is_spd(mat: np.ndarray) -> bool:
     return True
 
 
-def validate_model(model: LinearModel) -> ValidationResult:
-    """Check every dimensional and positivity constraint of the model.
+def validate_model(model: LinearModel, init: GaussianState) -> None:
+    """Check every constraint of a filtering problem.
 
-    Returns a ValidationResult whose ``violations`` list identifies each
-    failed constraint by step index (1-based) and field.
+    Every array must be finite; every step's arrays must match the state and
+    observation dimensions, with R symmetric positive definite; the initial
+    state must have the state dimension, with a symmetric positive
+    semidefinite (possibly singular) covariance. An array with non-finite
+    entries skips its symmetry and definiteness checks.
+
+    Raises ValidationError listing every violation, each naming its field
+    and, for step fields, its step index (1-based).
     """
     m, d = model.state_dim, model.obs_dim
     violations: list[str] = []
     for k, step in enumerate(model.steps, start=1):
+        bad = [name for name in ("A", "b", "H", "R", "data")
+               if not np.isfinite(getattr(step, name)).all()]
+        violations += [f"{name} has non-finite entries at step {k}" for name in bad]
         if step.A.shape != (m, m):
             violations.append(f"A has shape {step.A.shape}, expected ({m}, {m}) at step {k}")
         if step.b.shape != (m,):
@@ -173,11 +157,27 @@ def validate_model(model: LinearModel) -> ValidationResult:
             violations.append(f"data has length {step.data.shape[0]}, expected {d} at step {k}")
         if step.R.shape != (d, d):
             violations.append(f"R has shape {step.R.shape}, expected ({d}, {d}) at step {k}")
+        elif "R" in bad:
+            pass
         elif not _is_symmetric(step.R):
             violations.append(f"R not symmetric at step {k}")
         elif not _is_spd(step.R):
             violations.append(f"R not positive definite at step {k}")
-    return ValidationResult(ok=not violations, violations=violations)
+    bad = [name for name in ("mean", "cov") if not np.isfinite(getattr(init, name)).all()]
+    violations += [f"init {name} has non-finite entries" for name in bad]
+    if init.dim != m:
+        violations.append(f"init mean has length {init.dim}, expected {m}")
+    elif "cov" in bad:
+        pass
+    elif not _is_symmetric(init.cov):
+        violations.append("init cov: state covariance is not symmetric")
+    else:
+        eigs = np.linalg.eigvalsh(0.5 * (init.cov + init.cov.T))
+        if eigs.min() < -PSD_EIG_RTOL * max(np.abs(eigs).max(), 1e-300):
+            violations.append("init cov: state covariance is not positive "
+                              f"semidefinite (min eigenvalue {eigs.min():g})")
+    if violations:
+        raise ValidationError(violations)
 
 
 def apply_model(model: LinearModel, k: int, states: np.ndarray) -> np.ndarray:
@@ -211,6 +211,11 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true is not a count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _expand_step(raw: dict, index: int) -> list[StepSpec]:
     if not isinstance(raw, dict):
         raise ModelFormatError(f"step {index} must be an object")
@@ -218,6 +223,8 @@ def _expand_step(raw: dict, index: int) -> list[StepSpec]:
     base = {name: _require(raw, name, where) for name in ("A", "b", "H", "R")}
     data_sequence = raw.get("data_sequence")
     repeat = raw.get("repeat")
+    if repeat is not None and (not _is_int(repeat) or repeat < 1):
+        raise ModelFormatError(f"repeat must be a positive integer in {where}")
     if data_sequence is not None:
         if not isinstance(data_sequence, list) or not data_sequence:
             raise ModelFormatError(f"data_sequence must be a non-empty list in {where}")
@@ -228,15 +235,10 @@ def _expand_step(raw: dict, index: int) -> list[StepSpec]:
             )
         data_list = data_sequence
     else:
-        data = _require(raw, "data", where)
-        if repeat is None:
-            repeat = 1
-        if not isinstance(repeat, int) or repeat < 1:
-            raise ModelFormatError(f"repeat must be a positive integer in {where}")
-        data_list = [data] * repeat
+        data_list = [_require(raw, "data", where)] * (repeat or 1)
     try:
         return [StepSpec(data=data, **base) for data in data_list]
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ModelFormatError(f"malformed arrays in {where}: {exc}") from exc
 
 
@@ -246,7 +248,7 @@ def model_from_dict(raw: dict) -> tuple[LinearModel, GaussianState]:
         raise ModelFormatError("model file must contain a JSON object")
     state_dim = _require(raw, "state_dim", "model")
     obs_dim = _require(raw, "obs_dim", "model")
-    if not isinstance(state_dim, int) or not isinstance(obs_dim, int):
+    if not _is_int(state_dim) or not _is_int(obs_dim):
         raise ModelFormatError("state_dim and obs_dim must be integers")
     raw_steps = _require(raw, "steps", "model")
     if not isinstance(raw_steps, list):
@@ -263,7 +265,7 @@ def model_from_dict(raw: dict) -> tuple[LinearModel, GaussianState]:
             cov=_require(raw_init, "cov", "init"),
         )
         model = LinearModel(steps=tuple(steps), state_dim=state_dim, obs_dim=obs_dim)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"malformed model: {exc}") from exc
@@ -289,23 +291,14 @@ def model_to_dict(model: LinearModel, init: GaussianState) -> dict:
     }
 
 
-def load_model(path, validate: bool = True) -> tuple[LinearModel, GaussianState]:
-    """Load a model JSON file; optionally enforce the model constraints.
+def load_model(path) -> tuple[LinearModel, GaussianState]:
+    """Load a model JSON file and check it with validate_model.
 
-    With ``validate=True`` a constraint violation raises ValidationError
-    (carrying the violation list); parse problems raise ModelFormatError and
-    I/O problems OSError regardless.
+    A constraint violation raises ValidationError (carrying the violation
+    list), a parse problem ModelFormatError and an I/O problem OSError.
     """
     with open(Path(path), "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     model, init = model_from_dict(raw)
-    if validate:
-        result = validate_model(model)
-        if not result.ok:
-            raise ValidationError(result.violations)
-        validate_gaussian_state(init)
-        if init.dim != model.state_dim:
-            raise ValidationError(
-                [f"init mean has length {init.dim}, expected {model.state_dim}"]
-            )
+    validate_model(model, init)
     return model, init

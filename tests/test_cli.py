@@ -223,6 +223,16 @@ class TestStudyCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mistyped_file_seed_exit_two_under_seed_flag(self, scalar_model_file,
+                                                         tmp_path, capsys):
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 8], "replicates": 2, "seed": "5"}))
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study), "-o", str(out),
+                     "--seed", "9"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_replicate_failure_reported_and_exit_one(
         self, scalar_model_file, study_file, tmp_path, capsys, fail_chains
     ):

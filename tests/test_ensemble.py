@@ -17,7 +17,6 @@ from enkf_lab import (
     sample_cov,
     sample_mean,
     write_ensemble,
-    write_ensemble_csv,
 )
 from enkf_lab.experiment import run_study
 from enkf_lab.jsonio import canonical_json
@@ -251,13 +250,6 @@ class TestSerialization:
         path.write_bytes(b"\x02" + b"\x00" * 10)
         with pytest.raises(ValueError, match="truncated"):
             read_ensemble(path)
-
-    def test_csv_one_member_per_row(self, tmp_path):
-        ens = Ensemble(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        path = tmp_path / "ens.csv"
-        write_ensemble_csv(path, ens)
-        rows = path.read_text().strip().splitlines()
-        assert rows == ["1,3", "2,4"]
 
 
 def _random_gaussian(seed: int, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from enkf_lab import (
     member_moment,
     run_study,
 )
-from enkf_lab.experiment import config_hash
+from enkf_lab.experiment import StudyFormatError, config_hash
 
 
 @pytest.fixture(scope="module")
@@ -196,16 +196,16 @@ class TestFitRate:
         with pytest.raises(ValueError, match="at least 3"):
             fit_rate([(10, 1.0), (100, 0.5)])
 
-    def test_nonpositive_dropped_with_warning(self):
+    def test_nonpositive_dropped_and_counted(self):
         points = [(10, 0.0), (100, 1.0), (1000, 0.5), (10000, 0.25)]
-        with pytest.warns(UserWarning, match="nonpositive"):
-            fit = fit_rate(points)
+        fit = fit_rate(points)
         assert np.isfinite(fit.slope)
+        assert fit.dropped_nonpositive == 1
+        assert fit.points_used == 3
 
     def test_all_zero_rejected(self):
-        with pytest.warns(UserWarning, match="nonpositive"):
-            with pytest.raises(ValueError, match="at least 3"):
-                fit_rate([(10, 0.0), (100, 0.0), (1000, 0.0)])
+        with pytest.raises(ValueError, match="at least 3"):
+            fit_rate([(10, 0.0), (100, 0.0), (1000, 0.0)])
 
 
 class TestStudyConfig:
@@ -242,6 +242,24 @@ class TestStudyConfig:
         model, init = scalar
         fields = {"n_grid": (4, 8, 16), "replicates": 2, field: value}
         with pytest.raises(ValueError, match=match):
+            StudyConfig(model=model, init=init, **fields)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 1.5),
+            ("seed", "7"),
+            ("p_list", ("2",)),
+            ("p_list", (True,)),
+            ("metrics", ("mean_err",)),
+            ("n_grid", 16),
+            ("n_grid", "4,8,16"),
+        ],
+    )
+    def test_wrong_type_is_study_format_error(self, scalar, field, value):
+        model, init = scalar
+        fields = {"n_grid": (4, 8, 16), "replicates": 2, field: value}
+        with pytest.raises(StudyFormatError, match=field):
             StudyConfig(model=model, init=init, **fields)
 
     def test_numpy_integers_accepted_as_int(self, scalar):

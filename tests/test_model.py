@@ -26,9 +26,21 @@ def make_model(**overrides):
     return LinearModel(steps=(step,), state_dim=1, obs_dim=1)
 
 
+def violations(model, init=None):
+    """What validate_model reports; [] when it accepts the problem. The
+    default initial state is standard normal of the model's dimension."""
+    if init is None:
+        init = GaussianState(mean=np.zeros(model.state_dim), cov=np.eye(model.state_dim))
+    try:
+        validate_model(model, init)
+    except ValidationError as exc:
+        return exc.violations
+    return []
+
+
 class TestValidateModel:
     def test_scalar_model_valid(self):
-        assert validate_model(make_model()).ok
+        assert violations(make_model()) == []
 
     def test_semidefinite_r_rejected(self):
         step = StepSpec(
@@ -36,9 +48,7 @@ class TestValidateModel:
             data=[0.0, 0.0],
         )
         model = LinearModel(steps=(step,), state_dim=1, obs_dim=2)
-        result = validate_model(model)
-        assert not result.ok
-        assert "R not positive definite at step 1" in result.violations
+        assert "R not positive definite at step 1" in violations(model)
 
     def test_asymmetric_r_rejected(self):
         step = StepSpec(
@@ -46,8 +56,7 @@ class TestValidateModel:
             data=[0.0, 0.0],
         )
         model = LinearModel(steps=(step,), state_dim=1, obs_dim=2)
-        result = validate_model(model)
-        assert result.violations == ["R not symmetric at step 1"]
+        assert violations(model) == ["R not symmetric at step 1"]
 
     def test_dimension_mismatch_reported_with_step(self):
         step = StepSpec(
@@ -55,9 +64,8 @@ class TestValidateModel:
             data=np.zeros(2),
         )
         model = LinearModel(steps=(step,), state_dim=2, obs_dim=2)
-        result = validate_model(model)
-        assert not result.ok
-        assert any("H has shape (2, 3)" in v and "step 1" in v for v in result.violations)
+        found = violations(model)
+        assert any("H has shape (2, 3)" in v and "step 1" in v for v in found)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_factor_built_r_always_accepted(self, seed):
@@ -68,7 +76,50 @@ class TestValidateModel:
         step = StepSpec(A=np.eye(2), b=np.zeros(2), H=np.zeros((3, 2)), R=r,
                         data=np.zeros(3))
         model = LinearModel(steps=(step,), state_dim=2, obs_dim=3)
-        assert validate_model(model).ok
+        assert violations(model) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["A", "b", "H", "R", "data"])
+    def test_non_finite_step_field_named_alone(self, field, bad):
+        # a non-finite R is not also called asymmetric or indefinite
+        (good,) = make_model().steps
+        value = getattr(good, field).copy()
+        value.flat[0] = bad
+        (broken,) = make_model(**{field: value}).steps
+        model = LinearModel(steps=(good, broken), state_dim=1, obs_dim=1)
+        assert violations(model) == [f"{field} has non-finite entries at step 2"]
+
+    @pytest.mark.parametrize(
+        "mean, cov, expected",
+        [
+            ([0.0, 0.0], np.eye(2), ["init mean has length 2, expected 1"]),
+            ([np.nan], [[1.0]], ["init mean has non-finite entries"]),
+            ([0.0], [[np.inf]], ["init cov has non-finite entries"]),
+            ([0.0], [[-1.0]], ["init cov: state covariance is not positive "
+                               "semidefinite (min eigenvalue -1)"]),
+            ([0.0], [[0.0]], []),  # a degenerate prior is legal
+        ],
+        ids=["length", "nan-mean", "inf-cov", "indefinite", "singular"],
+    )
+    def test_init_checks(self, mean, cov, expected):
+        init = GaussianState(mean=mean, cov=cov)
+        assert violations(make_model(), init) == expected
+
+    def test_asymmetric_init_cov_rejected(self):
+        step = StepSpec(A=np.eye(2), b=np.zeros(2), H=np.eye(2), R=np.eye(2),
+                        data=np.zeros(2))
+        model = LinearModel(steps=(step,), state_dim=2, obs_dim=2)
+        init = GaussianState(mean=np.zeros(2), cov=[[1.0, 0.5], [0.0, 1.0]])
+        assert violations(model, init) == ["init cov: state covariance is not symmetric"]
+
+    def test_every_violation_reported(self):
+        model = make_model(R=[[0.0]], data=[np.nan])
+        init = GaussianState(mean=[np.inf], cov=[[1.0]])
+        assert violations(model, init) == [
+            "data has non-finite entries at step 1",
+            "R not positive definite at step 1",
+            "init mean has non-finite entries",
+        ]
 
 
 class TestApplyModel:
@@ -176,12 +227,23 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="'H'"):
             model_from_dict(raw)
 
-    def test_load_validates_by_default(self, tmp_path):
+    def test_load_validates(self, tmp_path):
         raw = self.model_dict()
         raw["steps"][0]["R"] = [[0.0]]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(raw))
         with pytest.raises(ValidationError, match="positive definite"):
             load_model(path)
-        model, _ = load_model(path, validate=False)
-        assert not validate_model(model).ok
+        # parsing alone does not check the constraints
+        model, init = model_from_dict(raw)
+        assert violations(model, init) == ["R not positive definite at step 1"]
+
+    @pytest.mark.parametrize("field", ["state_dim", "obs_dim", "repeat"])
+    def test_boolean_count_is_format_error(self, field):
+        raw = self.model_dict()
+        if field == "repeat":
+            raw["steps"][0]["repeat"] = True
+        else:
+            raw[field] = True
+        with pytest.raises(ModelFormatError, match=field):
+            model_from_dict(raw)
