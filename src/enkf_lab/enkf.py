@@ -6,13 +6,18 @@ ensemble: X is updated with the gain computed from its own forecast sample
 covariance, the reference ensemble U with the exact Kalman gain. Each step
 draws a single perturbed-data ensemble and feeds it to both updates, so
 member-wise differences X_i - U_i isolate the sampling error of the gain.
-``replicate_errors`` runs a study replicate at every ensemble size on shared draws.
+
+The step functions take one ensemble or a stack of ensembles of one size
+(see ``Ensemble``) and treat each slice of a stack exactly as they would
+treat it alone, bit for bit. ``coupled_run`` advances one chain;
+``chunk_errors``, the study kernel, advances the chains of a chunk of
+replicates as one stack per ensemble size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,8 +34,9 @@ CovOverride = Callable[[int], np.ndarray]
 class CoupledState:
     """Both ensembles after step ``step``, with the gains of the last analysis.
 
-    At step 0 the ensembles are one and the same object; the gains are None
-    because no analysis has happened yet.
+    The ensembles may be stacks of B chains, with a stack of B ensemble gains
+    and the one exact gain of the step. At step 0 the ensembles are one and
+    the same object; the gains are None because no analysis has happened yet.
     """
 
     enkf_ensemble: Ensemble
@@ -130,67 +136,116 @@ def coupled_run(
     return states
 
 
-# Columns of the scalars replicate_errors keeps of each coupled state.
+# Columns of the scalars chunk_errors keeps of each coupled state.
 MEMBER_DIFF, MEMBER_NORM, MEAN_ERR, COV_ERR, GAIN_ERR = range(5)
 
 
-def _state_errors(state: CoupledState, exact: GaussianState) -> list[float]:
+def _norms(rows: np.ndarray) -> np.ndarray:
+    # Euclidean norm of each contiguous row, the square root of a dot
+    # product, as np.linalg.norm computes it for one vector (Frobenius norm
+    # included), so a stack gives each chain's norms bit for bit.
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
+    """The five scalars of the column constants above, for every chain of a
+    stacked state: shape (B, 5), NaN gain error at step 0."""
     x = state.enkf_ensemble
-    member = x.members[:, 0]
-    gain_err = (
-        np.nan if state.ensemble_gain is None
-        else np.linalg.norm(state.ensemble_gain - state.exact_gain, ord="fro")
-    )
-    return [
-        np.linalg.norm(member - state.reference_ensemble.members[:, 0]),
-        np.linalg.norm(member),
-        np.linalg.norm(sample_mean(x) - exact.mean),
-        np.linalg.norm(sample_cov(x) - exact.cov, ord="fro"),
-        gain_err,
-    ]
+    batch = x.members.shape[:-2]
+    # Member 1 copied to contiguous rows: a strided view rounds differently.
+    member = np.ascontiguousarray(x.members[..., 0])
+    errors = np.full(batch + (5,), np.nan)
+    errors[..., MEMBER_DIFF] = _norms(member - state.reference_ensemble.members[..., 0])
+    errors[..., MEMBER_NORM] = _norms(member)
+    errors[..., MEAN_ERR] = _norms(sample_mean(x) - exact.mean)
+    errors[..., COV_ERR] = _norms((sample_cov(x) - exact.cov).reshape(batch + (-1,)))
+    if state.ensemble_gain is not None:
+        gain_diff = state.ensemble_gain - state.exact_gain
+        errors[..., GAIN_ERR] = _norms(gain_diff.reshape(batch + (-1,)))
+    return errors
 
 
-def replicate_errors(
-    model: LinearModel, init: GaussianState, seed: int, replicate: int,
+def chunk_errors(
+    model: LinearModel, init: GaussianState, seed: int, replicates: Sequence[int],
     n_grid: tuple[int, ...], kf_trajectory: KalmanTrajectory,
-) -> tuple[np.ndarray, dict[int, str]]:
-    """One replicate of the coupled construction at every N of ``n_grid``.
+) -> tuple[np.ndarray, dict[int, dict[int, str]]]:
+    """A chunk of study replicates of the coupled construction at every N of
+    ``n_grid``, as one stack of chains per N.
 
-    Each draw is made once, at the largest N; by the prefix property its
-    first n columns are the size-n draw, so the chain at each N is
-    bit-identical to ``coupled_run(..., n)``. Each state is reduced at once
-    to the five scalars of the column constants above, so one coupled state
-    per N is alive at a time.
+    Steps are the outer loop and N the inner one. Each step draws once per
+    replicate, at the largest N; by the prefix property the first n columns
+    are the size-n draw, so every chain is bit-identical to ``coupled_run``
+    of its replicate at that n. Each stacked state is reduced at once to the
+    five scalars of the column constants above, so one stacked state per N
+    and one step's draws are alive at a time.
 
-    Returns the scalars, shape (len(n_grid), steps + 1, 5), NaN where there
-    is none (the gain at step 0, a failed chain), and a map from each failed
-    N to "ExcType: message". A failure stops that N alone; a failed draw
-    stops every N.
+    Returns the scalars, shape (len(replicates), len(n_grid), steps + 1, 5),
+    NaN where there is none (the gain at step 0, a failed chain), and a map
+    from each replicate with a failure to {N: "ExcType: message"}. A failure
+    stops one replicate at one N; a failed draw stops that replicate at
+    every N. When a stacked step raises, it is rerun chain by chain to find
+    the chains that fail, and the others go on.
     """
-    errors = np.full((len(n_grid), len(model.steps) + 1, 5), np.nan)
-    failures: dict[int, str] = {}
+    replicates = tuple(replicates)
+    n_max = max(n_grid)
+    errors = np.full((len(replicates), len(n_grid), len(model.steps) + 1, 5), np.nan)
+    failures: dict[int, dict[int, str]] = {}
+
+    def fail(i: int, n: int, exc: Exception) -> None:
+        failures.setdefault(replicates[i], {}).setdefault(n, f"{type(exc).__name__}: {exc}")
+
+    # Per N, the chunk positions of the chains still running, in the order
+    # of the rows of that N's stacked state.
+    rows = {n: list(range(len(replicates))) for n in n_grid}
     states: dict[int, CoupledState] = {}
+
+    def advance(k: int, n: int, drawn: list[int], draws: np.ndarray, chains: list[int]):
+        # The size-n data of the chains; at the largest N, a view of the draws.
+        data = draws if chains == drawn else draws[[drawn.index(i) for i in chains]]
+        data = Ensemble(np.ascontiguousarray(data[..., :n]))
+        if k == 0:
+            return CoupledState(data, data, step=0)
+        state = states[n]
+        if chains != rows[n]:  # without the rows of stopped chains
+            keep = [rows[n].index(i) for i in chains]
+            state = CoupledState(Ensemble(state.enkf_ensemble.members[keep]),
+                                 Ensemble(state.reference_ensemble.members[keep]), step=k - 1)
+        return coupled_step(state, model, data, kf_trajectory)
+
     for k in range(len(model.steps) + 1):
-        try:
-            if k == 0:
-                drawn = init_ensemble(seed, replicate, max(n_grid), init)
-            else:
-                step = model.step(k)
-                drawn = perturb_data(seed, replicate, k, max(n_grid), step.data, step.R)
-        except Exception as exc:  # fails every N still running; reported per N
-            for n in n_grid:
-                failures.setdefault(n, f"{type(exc).__name__}: {exc}")
-            break
+        drawn, draws = [], []  # chunk positions with a draw, and their draws
+        for i in sorted(set().union(*rows.values())):
+            try:
+                if k == 0:
+                    draw = init_ensemble(seed, replicates[i], n_max, init)
+                else:
+                    step = model.step(k)
+                    draw = perturb_data(seed, replicates[i], k, n_max, step.data, step.R)
+            except Exception as exc:  # reported per (replicate, N) by run_study
+                for n in n_grid:
+                    fail(i, n, exc)
+                continue
+            drawn.append(i)
+            draws.append(draw.members)
+        if len(draws) == 1:  # a view, so the largest-N data are not copied
+            draws = draws[0][None]
+        elif draws:
+            draws = np.stack(draws)
         exact = kf_trajectory.analysis(k)
         for j, n in enumerate(n_grid):
-            if n in failures:
-                continue
+            chains = [i for i in rows[n] if i in drawn]
             try:
-                drawn_n = Ensemble(np.ascontiguousarray(drawn.members[:, :n]))
-                state = (CoupledState(drawn_n, drawn_n, step=0) if k == 0
-                         else coupled_step(states[n], model, drawn_n, kf_trajectory))
-                errors[j, k] = _state_errors(state, exact)
+                state = advance(k, n, drawn, draws, chains) if chains else None
+            except Exception:
+                for i in chains:
+                    try:
+                        advance(k, n, drawn, draws, [i])
+                    except Exception as exc:  # reported per (replicate, N)
+                        fail(i, n, exc)
+                chains = [i for i in chains if n not in failures.get(replicates[i], ())]
+                state = advance(k, n, drawn, draws, chains) if chains else None
+            rows[n] = chains
+            if chains:
                 states[n] = state
-            except Exception as exc:  # reported per (replicate, N) by run_study
-                failures[n] = f"{type(exc).__name__}: {exc}"
+                errors[chains, j, k] = _errors(state, exact)
     return errors, failures

@@ -70,34 +70,39 @@ class DrawKey:
 class Ensemble:
     """m x N matrix with ensemble members as columns; N >= 2 always.
 
-    Single-member ensembles are rejected: the 1/N sample covariance is
-    identically zero there and the size asymptotics are meaningless.
+    A leading batch axis, shape (B, m, N), stacks B ensembles of one size,
+    one per replicate; every function of this package that takes an
+    Ensemble works slice by slice on such a stack. Single-member ensembles
+    are rejected: the 1/N sample covariance is identically zero there and
+    the size asymptotics are meaningless.
     """
 
     members: np.ndarray
 
     def __post_init__(self):
         members = np.asarray(self.members, dtype=np.float64)
-        if members.ndim != 2:
-            raise ValueError(f"members must be a 2-d array, got ndim {members.ndim}")
-        if members.shape[1] < 2:
-            raise ValueError(f"ensemble needs at least 2 members, got {members.shape[1]}")
+        if members.ndim < 2:
+            raise ValueError(
+                f"members must be an m x N array or a stack of them, got ndim {members.ndim}"
+            )
+        if members.shape[-1] < 2:
+            raise ValueError(f"ensemble needs at least 2 members, got {members.shape[-1]}")
         if not np.all(np.isfinite(members)):
             raise ValueError("ensemble entries must be finite")
         object.__setattr__(self, "members", members)
 
     @property
     def state_dim(self) -> int:
-        return self.members.shape[0]
+        return self.members.shape[-2]
 
     @property
     def size(self) -> int:
-        return self.members.shape[1]
+        return self.members.shape[-1]
 
 
 def sample_mean(ensemble: Ensemble) -> np.ndarray:
     """Equally weighted mean of the member columns."""
-    return ensemble.members.mean(axis=1)
+    return ensemble.members.mean(axis=-1)
 
 
 def sample_cov(ensemble: Ensemble) -> np.ndarray:
@@ -107,9 +112,9 @@ def sample_cov(ensemble: Ensemble) -> np.ndarray:
     covariance mean(x x^T) - mean(x) mean(x)^T, evaluated in centered form.
     """
     x = ensemble.members
-    centered = x - x.mean(axis=1, keepdims=True)
-    cov = (centered @ centered.T) / x.shape[1]
-    return 0.5 * (cov + cov.T)
+    centered = x - x.mean(axis=-1, keepdims=True)
+    cov = (centered @ centered.mT) / x.shape[-1]
+    return 0.5 * (cov + cov.mT)
 
 
 def _cov_factor(cov: np.ndarray) -> np.ndarray:

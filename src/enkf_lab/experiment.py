@@ -1,12 +1,16 @@
 """Replicated convergence studies over a grid of ensemble sizes.
 
-The study runs R independent coupled replicates, each one task that advances
-the coupled pair at every ensemble size N of the grid on shared draws and
-keeps five scalars per (N, step). From those it estimates per-step error
-metrics against the exact filter (member-wise L^p distance to the reference
-ensemble, mean and covariance consistency errors, gain error) plus an L^p
-moment monitor, and fits log-log convergence rates across the grid. The
-trajectory-level estimators below compute the same metrics from
+The study runs R independent coupled replicates in chunks. Each chunk is one
+task of ``enkf.chunk_errors``: it advances the chunk's coupled pairs at every
+ensemble size N of the grid on shared draws, as one stack of chains per N,
+and keeps five scalars per (replicate, N, step). The chunk size comes from
+the input alone: as many replicates as fit CHUNK_ELEMENTS state entries at
+the largest N, and no more than an even share of the replicates per worker.
+Chunking changes no bit of the report. From the scalars the study estimates
+per-step error metrics against the exact filter (member-wise L^p distance to
+the reference ensemble, mean and covariance consistency errors, gain error)
+plus an L^p moment monitor, and fits log-log convergence rates across the
+grid. The trajectory-level estimators below compute the same metrics from
 ``coupled_run`` trajectories.
 """
 
@@ -24,7 +28,7 @@ import numpy as np
 
 from .enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
 # coupled_run is not called here; bench/spans.py wraps it under this name.
-from .enkf import CoupledState, coupled_run, replicate_errors
+from .enkf import CoupledState, chunk_errors, coupled_run
 from .ensemble import DRAW_SCHEME, sample_cov, sample_mean
 from .jsonio import canonical_json, format_float, write_canonical_json
 from .kf import KalmanTrajectory, kf_run
@@ -33,6 +37,11 @@ from .model import GaussianState, LinearModel, model_to_dict
 # Moment estimates across the N-grid exceeding this max/min ratio raise the
 # no-explosion flag (an empirical boundedness check, not a proof).
 MOMENT_FLAG_RATIO = 3.0
+
+# State entries (state_dim x largest N) per stacked array of a chunk of
+# replicates: 256 KiB of float64. Larger chunks cut per-call overhead but
+# raise peak memory; every chunk holds at least one replicate.
+CHUNK_ELEMENTS = 32768
 
 
 class Metric(Enum):
@@ -45,7 +54,7 @@ class Metric(Enum):
 
 ALL_METRICS = tuple(Metric)
 
-# The column of enkf.replicate_errors' scalars each metric is estimated from.
+# The column of enkf.chunk_errors' scalars each metric is estimated from.
 _COLUMN = {
     Metric.MEMBER_LP: MEMBER_DIFF,
     Metric.MEAN_ERR: MEAN_ERR,
@@ -366,31 +375,40 @@ def config_hash(config: StudyConfig) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
-def _replicate_task(args):
-    return replicate_errors(*args)
+def _chunk_task(args):
+    return chunk_errors(*args)
 
 
 def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
     """Run the full replicated study and assemble the convergence report.
 
     Deterministic given the config: replicate indices feed the draw keys, so
-    the result does not depend on scheduling or on the worker count.
+    the result does not depend on scheduling, on the worker count or on how
+    the replicates are chunked.
     """
     started = time.perf_counter()
     # One exact-filter run, which also checks the problem, serves every
     # replicate; the gains are N-independent.
     kf_trajectory = kf_run(config.model, config.init)
 
-    # One task per replicate; each returns its scalars for every (N, k).
+    # One task per chunk of replicates; each returns its scalars for every
+    # (replicate, N, k).
+    chunk = max(1, CHUNK_ELEMENTS // (config.model.state_dim * max(config.n_grid)))
+    if workers > 1:
+        chunk = min(chunk, -(-config.replicates // workers))
     tasks = [
-        (config.model, config.init, config.seed, r, config.n_grid, kf_trajectory)
-        for r in range(config.replicates)
+        (config.model, config.init, config.seed,
+         range(start, min(start + chunk, config.replicates)), config.n_grid, kf_trajectory)
+        for start in range(0, config.replicates, chunk)
     ]
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_task, tasks))
+            results = list(pool.map(_chunk_task, tasks))
     else:
-        results = [_replicate_task(task) for task in tasks]
+        results = [_chunk_task(task) for task in tasks]
+    # (replicates, N, steps + 1, 5), and each failed replicate's {N: error}
+    scalars = np.concatenate([chunk_scalars for chunk_scalars, _ in results])
+    lost = {r: errors for _, failed in results for r, errors in failed.items()}
 
     estimates: list[EstimateRow] = []
     failures: dict[str, list] = {}
@@ -408,15 +426,15 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
             rate_points.setdefault((label, k), []).append((n, est.value))
 
     for j, n in enumerate(config.n_grid):
-        failed = [{"replicate": r, "error": lost[n]}
-                  for r, (_, lost) in enumerate(results) if n in lost]
+        failed = [{"replicate": r, "error": lost[r][n]} for r in sorted(lost) if n in lost[r]]
         if failed:
             failures[str(n)] = failed
-        done = [scalars[j] for scalars, lost in results if n not in lost]
+        done = [r for r in range(config.replicates) if n not in lost.get(r, ())]
         if len(done) < 2:
             continue
         # (steps + 1, 5, replicates): each scalar's replicate values contiguous
-        for k, col in enumerate(np.stack(done, axis=-1)):
+        by_step = np.ascontiguousarray(np.moveaxis(scalars[done, j], 0, -1))
+        for k, col in enumerate(by_step):
             for metric in config.metrics:
                 values = col[_COLUMN[metric]]
                 if metric in (Metric.MEMBER_LP, Metric.MOMENT_MONITOR):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .model import GaussianState, LinearModel, validate_model
 
@@ -37,23 +37,32 @@ def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> GainMatri
 
     Solves the SPD system (H Q^f H^T + R) Z = H Q^f and returns Z^T; R must be
     symmetric positive definite, which keeps the system well-posed even when
-    the forecast covariance is rank deficient or zero.
+    the forecast covariance is rank deficient or zero. A stack of forecast
+    covariances, shape (B, m, m), gives the stack of their gains.
     """
     forecast_cov = np.asarray(forecast_cov, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
     R = np.asarray(R, dtype=np.float64)
-    innovation_cov = H @ forecast_cov @ H.T + R
-    innovation_cov = 0.5 * (innovation_cov + innovation_cov.T)
-    try:
-        factor = scipy.linalg.cho_factor(innovation_cov, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"innovation covariance is not positive definite: {exc}"
-        ) from exc
-    gain = scipy.linalg.cho_solve(factor, H @ forecast_cov).T
+    hq = H @ forecast_cov
+    innovation_cov = hq @ H.T + R
+    innovation_cov = 0.5 * (innovation_cov + innovation_cov.mT)
+    if not np.all(np.isfinite(innovation_cov)):  # cho_factor's check and message
+        raise ValueError("array must not contain infs or NaNs")
+    gain = np.empty(hq.shape[:-2] + (hq.shape[-1], hq.shape[-2]))
+    # LAPACK's potrf/potrs, the routines scipy.linalg.cho_factor/cho_solve
+    # call, once per slice: scipy's own loop over a stack costs more than
+    # the factorizations of these small systems.
+    for index in np.ndindex(hq.shape[:-2]):
+        factor, info = _potrf(innovation_cov[index], lower=1, clean=0)
+        if info > 0:
+            raise np.linalg.LinAlgError(
+                "innovation covariance is not positive definite: "
+                f"{info}-th leading minor of the array is not positive definite"
+            )
+        gain[index] = _potrs(factor, hq[index], lower=1)[0].T
     if not np.all(np.isfinite(gain)):
         raise np.linalg.LinAlgError("Kalman gain has non-finite entries")
-    return np.ascontiguousarray(gain)
+    return gain
 
 
 def kf_analysis(

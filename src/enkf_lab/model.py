@@ -33,7 +33,23 @@ class ValidationError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+def _non_numeric(value):
+    """The first string or boolean entry of a nested list, if any:
+    np.asarray(..., float64) would read "2.0" as 2.0 and true as 1.0."""
+    if not isinstance(value, (list, tuple)):
+        return value if isinstance(value, (str, bytes, bool, np.bool_)) else None
+    for entry in value:
+        if type(entry) not in (float, int):  # bool is not int here
+            bad = _non_numeric(entry)
+            if bad is not None:
+                return bad
+    return None
+
+
 def _as_array(value, name: str, ndim: int) -> np.ndarray:
+    bad = _non_numeric(value)
+    if bad is not None:
+        raise ValueError(f"{name} has a non-numeric entry {bad!r}")
     arr = np.asarray(value, dtype=np.float64)
     if arr.ndim != ndim:
         kind = "matrix" if ndim == 2 else "vector"
@@ -181,10 +197,13 @@ def validate_model(model: LinearModel, init: GaussianState) -> None:
 
 
 def apply_model(model: LinearModel, k: int, states: np.ndarray) -> np.ndarray:
-    """Apply the step-k dynamics column-wise: each column x becomes A x + b."""
+    """Apply the step-k dynamics column-wise: each column x becomes A x + b.
+
+    ``states`` is m x N or a stack of such matrices, (B, m, N).
+    """
     step = model.step(k)
     states = np.asarray(states, dtype=np.float64)
-    if states.ndim != 2 or states.shape[0] != model.state_dim:
+    if states.ndim < 2 or states.shape[-2] != model.state_dim:
         raise ValueError(
             f"states must have {model.state_dim} rows, got shape {states.shape}"
         )

@@ -43,26 +43,34 @@ def random_spd(rng, dim, scale=1.0):
 def fail_chains(monkeypatch):
     """Arm the study kernel to fail the chains of some replicates at one N.
 
-    ``fail_chains(replicates, n)`` makes ``coupled_step`` raise for those
-    replicates at ensemble size n only; the other sizes run on. In-process
-    runs only (workers=1).
+    ``fail_chains(replicates, n)`` makes ``coupled_step`` raise on any stack
+    of size-n chains that holds one of those replicates, so the kernel's
+    rerun chain by chain fails exactly those; the other sizes run on. A
+    chain is known by its data: member 1 of every perturbed-data draw of the
+    armed replicates is recorded, and a stack whose data ensemble starts a
+    row with one of them holds an armed chain. In-process runs only
+    (workers=1).
     """
     import enkf_lab.enkf as enkf
 
-    real_init, real_step = enkf.init_ensemble, enkf.coupled_step
-    current = {}
-
-    def init_ensemble(seed, replicate, size, init):
-        current["replicate"] = replicate
-        return real_init(seed, replicate, size, init)
+    real_draw, real_step = enkf.perturb_data, enkf.coupled_step
 
     def arm(replicates, n):
-        def coupled_step(state, *args, **kwargs):
-            if current["replicate"] in replicates and state.enkf_ensemble.size == n:
-                raise RuntimeError("synthetic failure")
-            return real_step(state, *args, **kwargs)
+        armed = set()
 
-        monkeypatch.setattr(enkf, "init_ensemble", init_ensemble)
+        def perturb_data(seed, replicate, k, size, data, r_cov):
+            drawn = real_draw(seed, replicate, k, size, data, r_cov)
+            if replicate in replicates:
+                armed.add(drawn.members[:, 0].tobytes())
+            return drawn
+
+        def coupled_step(state, model, data_ensemble, *args, **kwargs):
+            firsts = data_ensemble.members[..., 0].reshape(-1, data_ensemble.state_dim)
+            if data_ensemble.size == n and any(row.tobytes() in armed for row in firsts):
+                raise RuntimeError("synthetic failure")
+            return real_step(state, model, data_ensemble, *args, **kwargs)
+
+        monkeypatch.setattr(enkf, "perturb_data", perturb_data)
         monkeypatch.setattr(enkf, "coupled_step", coupled_step)
 
     return arm

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import random_spd
 
 from enkf_lab import (
     CoupledState,
@@ -17,7 +21,7 @@ from enkf_lab import (
     sample_cov,
     sample_mean,
 )
-from enkf_lab.enkf import replicate_errors
+from enkf_lab.enkf import chunk_errors
 
 
 class TestForecastAndGain:
@@ -321,37 +325,103 @@ class TestReplicateErrors:
             model, init = request.getfixturevalue(problem)
         trajectory = kf_run(model, init)
         n_grid = (2, 5, 16, 33)
-        for replicate in (0, 3):
-            scalars, failures = replicate_errors(model, init, 7, replicate, n_grid,
-                                                 trajectory)
-            assert failures == {}
-            assert scalars.shape == (len(n_grid), len(model.steps) + 1, 5)
+        replicates = (0, 3)
+        scalars, failures = chunk_errors(model, init, 7, replicates, n_grid, trajectory)
+        assert failures == {}
+        assert scalars.shape == (2, len(n_grid), len(model.steps) + 1, 5)
+        for row, replicate in enumerate(replicates):
             for j, n in enumerate(n_grid):
                 run = coupled_run(model, init, 7, replicate, n, kf_trajectory=trajectory)
-                assert np.array_equal(scalars[j], _run_scalars(run, trajectory),
+                assert np.array_equal(scalars[row, j], _run_scalars(run, trajectory),
                                       equal_nan=True)
 
     def test_chain_failure_stops_that_n_only(self, scalar, scalar_kf, fail_chains):
         model, init = scalar
         n_grid = (4, 8, 16)
-        clean, _ = replicate_errors(model, init, 0, 1, n_grid, scalar_kf)
+        clean, _ = chunk_errors(model, init, 0, (0, 1, 2), n_grid, scalar_kf)
         fail_chains({1}, 8)
-        scalars, failures = replicate_errors(model, init, 0, 1, n_grid, scalar_kf)
-        assert failures == {8: "RuntimeError: synthetic failure"}
+        scalars, failures = chunk_errors(model, init, 0, (0, 1, 2), n_grid, scalar_kf)
+        assert failures == {1: {8: "RuntimeError: synthetic failure"}}
+        assert np.array_equal(scalars[1, [0, 2]], clean[1, [0, 2]], equal_nan=True)
+        assert np.isnan(scalars[1, 1, 1:]).all()
+        # the other replicates of the stack run on, bit for bit
         assert np.array_equal(scalars[[0, 2]], clean[[0, 2]], equal_nan=True)
-        assert np.isnan(scalars[1, 1:]).all()
 
     def test_failed_draw_fails_every_n(self, scalar, scalar_kf, monkeypatch):
         import enkf_lab.enkf as enkf
 
+        model, init = scalar
+        clean, _ = chunk_errors(model, init, 0, (0, 1), (4, 8), scalar_kf)
+        real = enkf.perturb_data
+
         def broken(seed, replicate, k, n, data, r_cov):
-            raise RuntimeError(f"no draw at step {k}")
+            if replicate == 0:
+                raise RuntimeError(f"no draw at step {k}")
+            return real(seed, replicate, k, n, data, r_cov)
 
         monkeypatch.setattr(enkf, "perturb_data", broken)
-        model, init = scalar
-        _, failures = replicate_errors(model, init, 0, 0, (4, 8), scalar_kf)
-        assert failures == {4: "RuntimeError: no draw at step 1",
-                            8: "RuntimeError: no draw at step 1"}
+        scalars, failures = chunk_errors(model, init, 0, (0, 1), (4, 8), scalar_kf)
+        assert failures == {0: {4: "RuntimeError: no draw at step 1",
+                                8: "RuntimeError: no draw at step 1"}}
+        assert np.array_equal(scalars[1], clean[1], equal_nan=True)
+
+
+@st.composite
+def problems(draw):
+    """Random models: 1 to 6 states, 1 to m observations, 1 to 3 steps."""
+    m = draw(st.integers(1, 6))
+    d = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = tuple(
+        StepSpec(A=rng.standard_normal((m, m)) / np.sqrt(m), b=rng.standard_normal(m),
+                 H=rng.standard_normal((d, m)), R=random_spd(rng, d),
+                 data=rng.standard_normal(d))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    init = GaussianState(mean=rng.standard_normal(m), cov=random_spd(rng, m))
+    return LinearModel(steps=steps, state_dim=m, obs_dim=d), init
+
+
+GRIDS = st.lists(st.integers(2, 64), min_size=1, max_size=4, unique=True).map(
+    lambda grid: tuple(sorted(grid)))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestStackedChains:
+    @settings(max_examples=40, deadline=None)
+    @given(problem=problems(), n_grid=GRIDS, seed=SEEDS, chunk=st.integers(1, 4),
+           replicates=st.lists(st.integers(0, 99), min_size=1, max_size=6, unique=True))
+    @example(problem=_odd_model(), n_grid=(2, 5, 16), seed=3, chunk=2,
+             replicates=[0, 3, 4, 9, 11])  # chunks of 2, 2 and 1
+    def test_kernel_matches_one_coupled_run_per_replicate(self, problem, n_grid, seed,
+                                                          chunk, replicates):
+        model, init = problem
+        trajectory = kf_run(model, init)
+        for start in range(0, len(replicates), chunk):
+            part = replicates[start:start + chunk]
+            scalars, failures = chunk_errors(model, init, seed, part, n_grid, trajectory)
+            assert failures == {}
+            for row, replicate in enumerate(part):
+                for j, n in enumerate(n_grid):
+                    run = coupled_run(model, init, seed, replicate, n,
+                                      kf_trajectory=trajectory)
+                    assert np.array_equal(scalars[row, j], _run_scalars(run, trajectory),
+                                          equal_nan=True)
+
+    @settings(max_examples=40, deadline=None)
+    @given(problem=problems(), n=st.integers(2, 64), seed=SEEDS,
+           replicate=st.integers(0, 99))
+    def test_exact_covariance_chains_coincide(self, problem, n, seed, replicate):
+        # with the exact forecast covariance the ensemble gain is the exact
+        # gain, so X and U are one chain, bit for bit
+        model, init = problem
+        trajectory = kf_run(model, init)
+        run = coupled_run(model, init, seed, replicate, n, kf_trajectory=trajectory,
+                          forecast_cov_override=lambda k: trajectory.forecast(k).cov)
+        for state in run[1:]:
+            assert np.array_equal(state.ensemble_gain, state.exact_gain)
+            assert np.array_equal(state.enkf_ensemble.members,
+                                  state.reference_ensemble.members)
 
 
 class TestCoupledState:

@@ -330,6 +330,43 @@ class TestRunStudy:
             self.small_config(scalar, seed=1)
         )
 
+    def test_chunking_does_not_change_the_report(self, scalar, monkeypatch, tmp_path):
+        # chunks of 1, uneven chunks of 2, one chunk, and two workers' even
+        # shares (3 + 2) write the same files, byte for byte
+        import enkf_lab.experiment as experiment
+
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, seed=2, n_grid=(4, 8, 16),
+                             replicates=5, p_list=(2.0, 3.0))
+        real = experiment.chunk_errors
+        sizes = []
+
+        def recording(model, init, seed, replicates, *rest):
+            sizes.append(len(replicates))
+            return real(model, init, seed, replicates, *rest)
+
+        monkeypatch.setattr(experiment, "chunk_errors", recording)
+
+        def written(elements, workers=1):
+            monkeypatch.setattr(experiment, "CHUNK_ELEMENTS", elements)
+            report = run_study(config, workers=workers)
+            report.metadata.pop("timestamp")
+            out = tmp_path / f"{elements}-{workers}"
+            out.mkdir()
+            report.write_json(out / "report.json")
+            report.write_estimates_csv(out / "estimates.csv")
+            report.write_rates_csv(out / "rates.csv")
+            return {path.name: path.read_bytes() for path in out.iterdir()}
+
+        # state_dim 1 and largest N 16: 16 entries per replicate
+        one_each = written(1)
+        assert sizes == [1] * 5
+        uneven = written(32)
+        assert sizes[5:] == [2, 2, 1]
+        whole = written(10**9)
+        assert sizes[8:] == [5]
+        assert one_each == uneven == whole == written(10**9, workers=2)
+
     def test_partial_replicate_failure_preserved(self, scalar, monkeypatch):
         # a failed draw of replicate 1 fails it at every N
         import enkf_lab.enkf as enkf

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from enkf_lab import (
+    ModelFormatError,
     StudyConfig,
     ValidationError,
     kf_run,
@@ -98,6 +99,40 @@ def test_every_entry_point_rejects(case):
     config = StudyConfig(model=model, init=init, n_grid=(4, 8), replicates=2)
     with pytest.raises(ValidationError, match=re.escape(message)):
         run_study(config)
+
+
+# (path, value): a string or boolean array entry, which np.asarray would read
+# as a number ("2.0" as 2.0, true as 1.0)
+NON_NUMERIC = {
+    "string-A": (("steps", 0, "A", 0, 1), "2.0"),
+    "bool-b": (("steps", 0, "b", 1), True),
+    "string-H": (("steps", 1, "H", 0, 0), "1"),
+    "bool-R": (("steps", 0, "R", 0, 0), True),
+    "string-data": (("steps", 1, "data", 0), "0.7"),
+    "bool-data-sequence": (("steps", 1), {
+        "A": [[0.9, 0.1], [0.0, 0.8]], "b": [0.0, 0.1], "H": [[1.0, 0.0]],
+        "R": [[0.5]], "repeat": 2, "data_sequence": [[0.7], [False]]}),
+    "bool-init-mean": (("init", "mean", 0), False),
+    "string-init-cov": (("init", "cov", 1, 1), "0.5"),
+}
+
+
+@pytest.mark.parametrize("case", NON_NUMERIC)
+def test_non_numeric_entry_is_format_error(case, tmp_path, capsys):
+    path, value = NON_NUMERIC[case]
+    raw = mutated(TWO_STATE, path, value)
+    with pytest.raises(ModelFormatError, match="non-numeric entry"):
+        model_from_dict(raw)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(raw))
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({"n_grid": [4, 8, 16], "replicates": 3}))
+    out = tmp_path / "out"
+    for argv in (["validate", str(model)], ["kf", str(model), "-o", str(out)],
+                 ["study", str(model), str(study), "-o", str(out)]):
+        assert main(argv) == 2, argv[0]
+        assert "non-numeric entry" in capsys.readouterr().err, argv[0]
+        assert not out.exists(), argv[0]
 
 
 def test_each_violation_on_its_own_line(tmp_path, capsys):
