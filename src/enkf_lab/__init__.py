@@ -60,7 +60,7 @@ from .experiment import (
     member_moment,
     run_study,
 )
-from .reference import reference_model, reference_study, scalar_model
+from .reference import reference_model, scalar_model
 
 __version__ = "0.1.0"
 
@@ -104,7 +104,6 @@ __all__ = [
     "perturb_data",
     "read_ensemble",
     "reference_model",
-    "reference_study",
     "run_study",
     "sample_cov",
     "sample_mean",

@@ -11,7 +11,8 @@ The step functions take one ensemble or a stack of ensembles of one size
 (see ``Ensemble``) and treat each slice of a stack exactly as they would
 treat it alone, bit for bit. ``coupled_run`` advances one chain;
 ``chunk_errors``, the study kernel, advances the chains of a chunk of
-replicates as one stack per ensemble size.
+replicates as one stack per ensemble size, and runs a chunk whose stack
+raises again one replicate at a time.
 """
 
 from __future__ import annotations
@@ -181,71 +182,52 @@ def chunk_errors(
 
     Returns the scalars, shape (len(replicates), len(n_grid), steps + 1, 5),
     NaN where there is none (the gain at step 0, a failed chain), and a map
-    from each replicate with a failure to {N: "ExcType: message"}. A failure
-    stops one replicate at one N; a failed draw stops that replicate at
-    every N. When a stacked step raises, it is rerun chain by chain to find
-    the chains that fail, and the others go on.
+    from each replicate with a failure to {N: "ExcType: message"}. A single
+    replicate records the first error at each N: a failed step stops that N,
+    a failed draw every N still running. A chunk of several replicates stops
+    at its first failed draw or step, and runs this function again on each
+    replicate alone. A slice of a stack is computed as it would be alone, so
+    the rerun gives the same scalars and errors; but a failing chunk is
+    computed about twice, and its rerun is not batched.
     """
     replicates = tuple(replicates)
     n_max = max(n_grid)
     errors = np.full((len(replicates), len(n_grid), len(model.steps) + 1, 5), np.nan)
-    failures: dict[int, dict[int, str]] = {}
-
-    def fail(i: int, n: int, exc: Exception) -> None:
-        failures.setdefault(replicates[i], {}).setdefault(n, f"{type(exc).__name__}: {exc}")
-
-    # Per N, the chunk positions of the chains still running, in the order
-    # of the rows of that N's stacked state.
-    rows = {n: list(range(len(replicates))) for n in n_grid}
+    stacked = len(replicates) > 1
+    failed: dict[int, str] = {}  # the first error at each N
     states: dict[int, CoupledState] = {}
-
-    def advance(k: int, n: int, drawn: list[int], draws: np.ndarray, chains: list[int]):
-        # The size-n data of the chains; at the largest N, a view of the draws.
-        data = draws if chains == drawn else draws[[drawn.index(i) for i in chains]]
-        data = Ensemble(np.ascontiguousarray(data[..., :n]))
-        if k == 0:
-            return CoupledState(data, data, step=0)
-        state = states[n]
-        if chains != rows[n]:  # without the rows of stopped chains
-            keep = [rows[n].index(i) for i in chains]
-            state = CoupledState(Ensemble(state.enkf_ensemble.members[keep]),
-                                 Ensemble(state.reference_ensemble.members[keep]), step=k - 1)
-        return coupled_step(state, model, data, kf_trajectory)
-
     for k in range(len(model.steps) + 1):
-        drawn, draws = [], []  # chunk positions with a draw, and their draws
-        for i in sorted(set().union(*rows.values())):
-            try:
-                if k == 0:
-                    draw = init_ensemble(seed, replicates[i], n_max, init)
-                else:
-                    step = model.step(k)
-                    draw = perturb_data(seed, replicates[i], k, n_max, step.data, step.R)
-            except Exception as exc:  # reported per (replicate, N) by run_study
-                for n in n_grid:
-                    fail(i, n, exc)
-                continue
-            drawn.append(i)
-            draws.append(draw.members)
-        if len(draws) == 1:  # a view, so the largest-N data are not copied
-            draws = draws[0][None]
-        elif draws:
-            draws = np.stack(draws)
+        running = [j for j, n in enumerate(n_grid) if n not in failed]
+        if not running or failed and stacked:
+            break
+        try:
+            if k == 0:
+                draws = [init_ensemble(seed, r, n_max, init).members for r in replicates]
+            else:
+                step = model.step(k)
+                draws = [perturb_data(seed, r, k, n_max, step.data, step.R).members
+                         for r in replicates]
+        except Exception as exc:  # reported per (replicate, N) by run_study
+            failed.update((n_grid[j], f"{type(exc).__name__}: {exc}") for j in running)
+            break
+        # One draw is stacked as a view, so the largest-N data are not copied.
+        draws = np.stack(draws) if stacked else draws[0][None]
         exact = kf_trajectory.analysis(k)
-        for j, n in enumerate(n_grid):
-            chains = [i for i in rows[n] if i in drawn]
+        for j in running:
+            n = n_grid[j]
+            data = Ensemble(np.ascontiguousarray(draws[..., :n]))
             try:
-                state = advance(k, n, drawn, draws, chains) if chains else None
-            except Exception:
-                for i in chains:
-                    try:
-                        advance(k, n, drawn, draws, [i])
-                    except Exception as exc:  # reported per (replicate, N)
-                        fail(i, n, exc)
-                chains = [i for i in chains if n not in failures.get(replicates[i], ())]
-                state = advance(k, n, drawn, draws, chains) if chains else None
-            rows[n] = chains
-            if chains:
-                states[n] = state
-                errors[chains, j, k] = _errors(state, exact)
-    return errors, failures
+                states[n] = (CoupledState(data, data, step=0) if k == 0
+                             else coupled_step(states[n], model, data, kf_trajectory))
+            except Exception as exc:  # reported per (replicate, N) by run_study
+                failed[n] = f"{type(exc).__name__}: {exc}"
+                if stacked:
+                    break
+                continue
+            errors[:, j, k] = _errors(states[n], exact)
+    if failed and stacked:  # run again one replicate at a time
+        parts = [chunk_errors(model, init, seed, (r,), n_grid, kf_trajectory)
+                 for r in replicates]
+        return (np.concatenate([part for part, _ in parts]),
+                {r: errs for _, lost in parts for r, errs in lost.items()})
+    return errors, ({replicates[0]: failed} if failed else {})

@@ -1,14 +1,11 @@
-"""Built-in example problems and the default convergence-study setup.
-
-These fixtures are sized so the full default study finishes in minutes on a
-laptop while leaving enough replicates to resolve the convergence rates.
+"""Built-in example problems: a scalar chain small enough to check by hand,
+and the 4-state reference model of the convergence study.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .experiment import StudyConfig
 from .model import GaussianState, LinearModel, StepSpec
 
 
@@ -63,15 +60,3 @@ def reference_model(steps: int = 5) -> tuple[LinearModel, GaussianState]:
     )
     return model, init
 
-
-def reference_study(seed: int = 0) -> StudyConfig:
-    """The default convergence study on the 4-state reference model."""
-    model, init = reference_model()
-    return StudyConfig(
-        model=model,
-        init=init,
-        seed=seed,
-        n_grid=(16, 64, 256, 1024, 4096),
-        replicates=100,
-        p_list=(2.0, 4.0),
-    )

@@ -44,12 +44,12 @@ def fail_chains(monkeypatch):
     """Arm the study kernel to fail the chains of some replicates at one N.
 
     ``fail_chains(replicates, n)`` makes ``coupled_step`` raise on any stack
-    of size-n chains that holds one of those replicates, so the kernel's
-    rerun chain by chain fails exactly those; the other sizes run on. A
-    chain is known by its data: member 1 of every perturbed-data draw of the
-    armed replicates is recorded, and a stack whose data ensemble starts a
-    row with one of them holds an armed chain. In-process runs only
-    (workers=1).
+    of size-n chains that holds one of those replicates, so when the kernel
+    runs the chunk again one replicate at a time, exactly those fail at n;
+    the other sizes run on. A chain is known by its data: member 1 of every
+    perturbed-data draw of the armed replicates is recorded, and a stack
+    whose data ensemble starts a row with one of them holds an armed chain.
+    In-process runs only (workers=1).
     """
     import enkf_lab.enkf as enkf
 

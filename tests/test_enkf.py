@@ -365,6 +365,31 @@ class TestReplicateErrors:
                                 8: "RuntimeError: no draw at step 1"}}
         assert np.array_equal(scalars[1], clean[1], equal_nan=True)
 
+    def test_first_failure_per_n_wins(self, scalar, scalar_kf, fail_chains, monkeypatch):
+        # replicate 0 fails its step at N = 4, then its step-2 draw: N = 4
+        # keeps the step's error and only N = 8 gets the draw's
+        import enkf_lab.enkf as enkf
+
+        model, init = scalar
+        clean, _ = chunk_errors(model, init, 0, (0, 1), (4, 8), scalar_kf)
+        fail_chains({0}, 4)
+        armed = enkf.perturb_data
+
+        def broken(seed, replicate, k, n, data, r_cov):
+            if replicate == 0 and k == 2:
+                raise RuntimeError(f"no draw at step {k}")
+            return armed(seed, replicate, k, n, data, r_cov)
+
+        monkeypatch.setattr(enkf, "perturb_data", broken)
+        scalars, failures = chunk_errors(model, init, 0, (0, 1), (4, 8), scalar_kf)
+        assert failures == {0: {4: "RuntimeError: synthetic failure",
+                                8: "RuntimeError: no draw at step 2"}}
+        assert np.array_equal(scalars[0, 0, :1], clean[0, 0, :1], equal_nan=True)
+        assert np.isnan(scalars[0, 0, 1:]).all()
+        assert np.array_equal(scalars[0, 1, :2], clean[0, 1, :2], equal_nan=True)
+        assert np.isnan(scalars[0, 1, 2:]).all()
+        assert np.array_equal(scalars[1], clean[1], equal_nan=True)
+
 
 @st.composite
 def problems(draw):

@@ -330,9 +330,12 @@ class TestRunStudy:
             self.small_config(scalar, seed=1)
         )
 
-    def test_chunking_does_not_change_the_report(self, scalar, monkeypatch, tmp_path):
+    def test_chunking_does_not_change_the_report(self, scalar, monkeypatch, tmp_path,
+                                                 fail_chains):
         # chunks of 1, uneven chunks of 2, one chunk, and two workers' even
-        # shares (3 + 2) write the same files, byte for byte
+        # shares (3 + 2) write the same files, byte for byte; so do the
+        # in-process chunkings when replicates fail
+        import enkf_lab.enkf as enkf
         import enkf_lab.experiment as experiment
 
         model, init = scalar
@@ -347,11 +350,11 @@ class TestRunStudy:
 
         monkeypatch.setattr(experiment, "chunk_errors", recording)
 
-        def written(elements, workers=1):
+        def written(elements, workers=1, case="clean"):
             monkeypatch.setattr(experiment, "CHUNK_ELEMENTS", elements)
             report = run_study(config, workers=workers)
             report.metadata.pop("timestamp")
-            out = tmp_path / f"{elements}-{workers}"
+            out = tmp_path / f"{case}-{elements}-{workers}"
             out.mkdir()
             report.write_json(out / "report.json")
             report.write_estimates_csv(out / "estimates.csv")
@@ -366,6 +369,22 @@ class TestRunStudy:
         whole = written(10**9)
         assert sizes[8:] == [5]
         assert one_each == uneven == whole == written(10**9, workers=2)
+
+        # replicates 1 and 3 fail at N = 8, and replicate 4's step-2 draw
+        fail_chains({1, 3}, 8)
+        armed = enkf.perturb_data
+
+        def broken(seed, replicate, k, n, data, r_cov):
+            if replicate == 4 and k == 2:
+                raise RuntimeError("no draw")
+            return armed(seed, replicate, k, n, data, r_cov)
+
+        monkeypatch.setattr(enkf, "perturb_data", broken)
+        failing = [written(elements, case="failing") for elements in (1, 32, 10**9)]
+        assert failing[0] == failing[1] == failing[2] != one_each
+        failures = json.loads(failing[0]["report.json"])["metadata"]["failures"]
+        assert {n: [f["replicate"] for f in failed] for n, failed in failures.items()} == {
+            "4": [4], "8": [1, 3, 4], "16": [4]}
 
     def test_partial_replicate_failure_preserved(self, scalar, monkeypatch):
         # a failed draw of replicate 1 fails it at every N
