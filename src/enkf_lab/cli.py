@@ -6,8 +6,8 @@ Commands:
     enkf-lab study <model.json> <study.json> -o DIR
         [--seed S] [--format json|csv|both] [--dump-trajectories] [--workers W]
 
-Exit codes: 0 success, 1 domain-invalid input or failed study replicates
-(the report is still written), 2 I/O or parse failure.
+Exit codes: 0 success, 1 domain-invalid input, float64 overflow or failed
+study replicates (the report is still written), 2 I/O or parse failure.
 Seed precedence: --seed flag > study file > ENKF_LAB_SEED env var > 0.
 """
 
@@ -19,6 +19,8 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .enkf import coupled_run
 from .ensemble import write_ensemble
@@ -211,6 +213,8 @@ def cmd_study(
     return EXIT_INVALID if failures else EXIT_OK
 
 
+# Overflow raises: numbers beyond float64's range exit 1, not infinities.
+@np.errstate(over="raise")
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -236,7 +240,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_INVALID
-    except ValueError as exc:
+    except (ValueError, FloatingPointError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

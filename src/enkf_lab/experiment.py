@@ -10,8 +10,8 @@ Chunking changes no bit of the report. From the scalars the study estimates
 per-step error metrics against the exact filter (member-wise L^p distance to
 the reference ensemble, mean and covariance consistency errors, gain error)
 plus an L^p moment monitor, and fits log-log convergence rates across the
-grid. The trajectory-level estimators below compute the same metrics from
-``coupled_run`` trajectories.
+grid. The four public estimators take one ensemble size's scalars, and
+``run_study`` estimates through them.
 """
 
 from __future__ import annotations
@@ -27,11 +27,11 @@ from enum import Enum
 import numpy as np
 
 from .enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
-# coupled_run is not called here; bench/spans.py wraps it under this name.
-from .enkf import CoupledState, chunk_errors, coupled_run
-from .ensemble import DRAW_SCHEME, sample_cov, sample_mean
+# coupled_run and sample_cov are not called here; bench/spans.py wraps them.
+from .enkf import chunk_errors, coupled_run
+from .ensemble import DRAW_SCHEME, sample_cov
 from .jsonio import canonical_json, format_float, write_canonical_json
-from .kf import KalmanTrajectory, kf_run
+from .kf import kf_run
 from .model import GaussianState, LinearModel, model_to_dict
 
 # Moment estimates across the N-grid exceeding this max/min ratio raise the
@@ -53,16 +53,6 @@ class Metric(Enum):
 
 
 ALL_METRICS = tuple(Metric)
-
-# The column of enkf.chunk_errors' scalars each metric is estimated from.
-_COLUMN = {
-    Metric.MEMBER_LP: MEMBER_DIFF,
-    Metric.MEAN_ERR: MEAN_ERR,
-    Metric.COV_ERR: COV_ERR,
-    Metric.GAIN_ERR: GAIN_ERR,
-    Metric.MOMENT_MONITOR: MEMBER_NORM,
-}
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -137,22 +127,18 @@ class StudyConfig:
 
 
 # ---------------------------------------------------------------------------
-# Estimators. `runs` is a list of per-replicate coupled trajectories
-# (each a list of CoupledState, index = step).
+# Estimators. `scalars` is one ensemble size's scalars from
+# enkf.chunk_errors, shape (replicates, steps + 1, 5): one row per replicate.
 # ---------------------------------------------------------------------------
 
 
-def _check_step(runs, k: int) -> None:
-    if not runs:
+def _at_step(scalars, k: int, column: int) -> np.ndarray:
+    if len(scalars) == 0:
         raise ValueError("no replicate runs given")
-    last = len(runs[0]) - 1
+    last = scalars.shape[1] - 1
     if not 0 <= k <= last:
         raise ValueError(f"step index {k} out of range 0..{last}")
-
-
-def _member1_diff_norm(state: CoupledState) -> float:
-    diff = state.enkf_ensemble.members[:, 0] - state.reference_ensemble.members[:, 0]
-    return float(np.linalg.norm(diff))
+    return scalars[:, k, column]
 
 
 def _mean_estimate(values: np.ndarray) -> Estimate:
@@ -174,62 +160,38 @@ def _lp_estimate(norms: np.ndarray, p: float) -> Estimate:
     return Estimate(value=value, stderr=power.stderr * power.value ** (1.0 / p - 1.0) / p)
 
 
-def member_lp_error(runs, k: int, p: float) -> Estimate:
+def member_lp_error(scalars, k: int, p: float) -> Estimate:
     """L^p distance of member 1 between the EnKF and reference ensembles.
 
     Only member 1 of each replicate enters, so the replicate values are
     independent; averaging members within a replicate would correlate terms
     and bias the standard error.
     """
-    if len(runs) < 2:
+    if len(scalars) < 2:
         raise ValueError("member_lp_error needs at least 2 replicates")
-    _check_step(runs, k)
-    norms = np.array([_member1_diff_norm(run[k]) for run in runs])
-    return _lp_estimate(norms, p)
+    return _lp_estimate(_at_step(scalars, k, MEMBER_DIFF), p)
 
 
-def mean_cov_error(
-    runs, kf_trajectory: KalmanTrajectory, k: int
-) -> tuple[Estimate, Estimate]:
+def mean_cov_error(scalars, k: int) -> tuple[Estimate, Estimate]:
     """Replicate-averaged distance of the ensemble mean to the exact filtering
     mean (Euclidean) and of the sample covariance to the exact covariance
     (Frobenius)."""
-    _check_step(runs, k)
-    exact = kf_trajectory.analysis(k)
-    mean_errs = np.array(
-        [np.linalg.norm(sample_mean(run[k].enkf_ensemble) - exact.mean) for run in runs]
-    )
-    cov_errs = np.array(
-        [
-            np.linalg.norm(sample_cov(run[k].enkf_ensemble) - exact.cov, ord="fro")
-            for run in runs
-        ]
-    )
-    return _mean_estimate(mean_errs), _mean_estimate(cov_errs)
+    return (_mean_estimate(_at_step(scalars, k, MEAN_ERR)),
+            _mean_estimate(_at_step(scalars, k, COV_ERR)))
 
 
-def gain_error(runs, k: int) -> Estimate:
+def gain_error(scalars, k: int) -> Estimate:
     """Replicate-averaged Frobenius distance between the ensemble gain and the
     exact gain at step k (k >= 1; there is no gain at initialization)."""
-    _check_step(runs, k)
+    values = _at_step(scalars, k, GAIN_ERR)
     if k < 1:
         raise ValueError("no gain exists at step 0")
-    errs = np.array(
-        [
-            np.linalg.norm(run[k].ensemble_gain - run[k].exact_gain, ord="fro")
-            for run in runs
-        ]
-    )
-    return _mean_estimate(errs)
+    return _mean_estimate(values)
 
 
-def member_moment(runs, k: int, p: float) -> Estimate:
+def member_moment(scalars, k: int, p: float) -> Estimate:
     """(E ||X_1||^p)^(1/p) of EnKF member 1 at step k, across replicates."""
-    _check_step(runs, k)
-    norms = np.array(
-        [float(np.linalg.norm(run[k].enkf_ensemble.members[:, 0])) for run in runs]
-    )
-    return _lp_estimate(norms, p)
+    return _lp_estimate(_at_step(scalars, k, MEMBER_NORM), p)
 
 
 def _moment_ratio(values) -> float:
@@ -425,6 +387,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
         else:
             rate_points.setdefault((label, k), []).append((n, est.value))
 
+    with_mean_cov = {Metric.MEAN_ERR, Metric.COV_ERR} & set(config.metrics)
     for j, n in enumerate(config.n_grid):
         failed = [{"replicate": r, "error": lost[r][n]} for r in sorted(lost) if n in lost[r]]
         if failed:
@@ -432,16 +395,19 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
         done = [r for r in range(config.replicates) if n not in lost.get(r, ())]
         if len(done) < 2:
             continue
-        # (steps + 1, 5, replicates): each scalar's replicate values contiguous
-        by_step = np.ascontiguousarray(np.moveaxis(scalars[done, j], 0, -1))
-        for k, col in enumerate(by_step):
+        rows = scalars[done, j]  # (replicates, steps + 1, 5)
+        for k in range(rows.shape[1]):
+            if with_mean_cov:
+                mean_cov = dict(zip((Metric.MEAN_ERR, Metric.COV_ERR), mean_cov_error(rows, k)))
             for metric in config.metrics:
-                values = col[_COLUMN[metric]]
                 if metric in (Metric.MEMBER_LP, Metric.MOMENT_MONITOR):
+                    lp = member_lp_error if metric is Metric.MEMBER_LP else member_moment
                     for p in config.p_list:
-                        add(metric, p, k, n, _lp_estimate(values, p))
-                elif metric is not Metric.GAIN_ERR or k >= 1:
-                    add(metric, None, k, n, _mean_estimate(values))
+                        add(metric, p, k, n, lp(rows, k, p))
+                elif metric is not Metric.GAIN_ERR:
+                    add(metric, None, k, n, mean_cov[metric])
+                elif k >= 1:
+                    add(metric, None, k, n, gain_error(rows, k))
 
     estimates.sort(key=lambda row: (row.metric, row.k, row.n))
     rates: list[RateRow] = []

@@ -1,13 +1,43 @@
 """Independent oracles the tests check the library against.
 
 Everything here is deliberately written from first principles (density
-products, element loops) rather than reusing the library's linear algebra, so
-a bug cannot cancel out of both sides of an assertion.
+products, element loops, one ``np.linalg.norm`` per value) rather than
+reusing the library's linear algebra, so a bug cannot cancel out of both
+sides of an assertion. ``coupled_scalars`` borrows only the library's sample
+moments, so that it can match the study kernel bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from enkf_lab import sample_cov, sample_mean
+
+
+def coupled_scalars(run, trajectory):
+    """The study kernel's five scalars per step, recomputed from one
+    ``coupled_run``: shape (steps + 1, 5), columns in the order of
+    ``enkf_lab.enkf.MEMBER_DIFF, MEMBER_NORM, MEAN_ERR, COV_ERR, GAIN_ERR``,
+    NaN gain error at step 0."""
+    rows = []
+    for k, state in enumerate(run):
+        x, u = state.enkf_ensemble, state.reference_ensemble
+        exact = trajectory.analysis(k)
+        rows.append([
+            np.linalg.norm(x.members[:, 0] - u.members[:, 0]),
+            np.linalg.norm(x.members[:, 0]),
+            np.linalg.norm(sample_mean(x) - exact.mean),
+            np.linalg.norm(sample_cov(x) - exact.cov, ord="fro"),
+            np.nan if k == 0 else
+            np.linalg.norm(state.ensemble_gain - state.exact_gain, ord="fro"),
+        ])
+    return np.array(rows)
+
+
+def replicate_scalars(runs, trajectory):
+    """``coupled_scalars`` of each run, stacked: shape (replicates, steps + 1,
+    5), the input of the study's estimators for one ensemble size."""
+    return np.stack([coupled_scalars(run, trajectory) for run in runs])
 
 
 def conjugate_scalar_chain(model, init):

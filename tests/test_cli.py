@@ -1,8 +1,12 @@
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from enkf_lab import model_to_dict, read_ensemble
 from enkf_lab.cli import main
@@ -283,6 +287,18 @@ class TestStudyCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("p_list", [[700.0], [1e300]])
+    def test_overflowing_moment_order_exit_one(self, scalar_model_file, tmp_path, capsys,
+                                               p_list):
+        # p-th powers beyond float64's range end the study with exit 1
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [2, 4, 8], "replicates": 2,
+                                     "p_list": p_list}))
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study), "-o", str(out)]) == 1
+        assert "error: overflow encountered in" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_workers_out_of_range_exit_one(self, scalar_model_file, study_file,
                                            tmp_path, capsys, monkeypatch, workers):
@@ -297,3 +313,75 @@ class TestStudyCommand:
                      "-o", str(out), "--workers", str(workers)]) == 1
         assert "--workers must be between 1 and" in capsys.readouterr().err
         assert not out.exists()
+
+
+# Arbitrary JSON: small integers keep any size or repeat count a model or
+# study file might take from it small.
+NUMBERS = st.one_of(st.integers(-3, 5), st.floats())
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), NUMBERS, st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+
+
+def _shaped(**fields):
+    """Dicts with any subset of ``fields``, each value of its field's shape
+    or arbitrary JSON."""
+    return st.fixed_dictionaries(
+        {}, optional={key: st.one_of(value, JSON) for key, value in fields.items()})
+
+
+VECTORS = st.lists(NUMBERS, max_size=3)
+MATRICES = st.lists(VECTORS, max_size=3)
+MODEL_SHAPED = _shaped(
+    state_dim=st.integers(0, 3),
+    obs_dim=st.integers(0, 3),
+    init=_shaped(mean=VECTORS, cov=MATRICES),
+    steps=st.lists(_shaped(A=MATRICES, b=VECTORS, H=MATRICES, R=MATRICES, data=VECTORS,
+                           repeat=st.integers(-1, 3), data_sequence=MATRICES),
+                   max_size=3),
+)
+STUDY_SHAPED = _shaped(
+    n_grid=st.one_of(st.lists(st.integers(-1, 16), max_size=3),
+                     st.lists(st.integers(2, 16), max_size=3, unique=True).map(sorted)),
+    replicates=st.integers(-1, 3),
+    p_list=st.one_of(st.lists(NUMBERS, max_size=3),
+                     st.lists(st.floats(1.0), max_size=3, unique=True)),
+    seed=st.integers(-(2**70), 2**70),
+    metrics=st.lists(st.sampled_from(["member_lp", "mean_err", "cov_err", "gain_err",
+                                      "moment", "x"]), max_size=3),
+)
+VALID_MODEL = model_to_dict(*scalar_model())
+VALID_STUDY = {"n_grid": [2, 4, 8], "replicates": 2}
+
+
+def _over(valid: dict, shaped):
+    """``valid`` with some of its fields replaced, or new ones added."""
+    return shaped.map(lambda fields: {**valid, **fields})
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["validate", "kf", "study"]),
+       model=st.one_of(st.just(VALID_MODEL), _over(VALID_MODEL, MODEL_SHAPED),
+                       MODEL_SHAPED, JSON),
+       study=st.one_of(st.just(VALID_STUDY), _over(VALID_STUDY, STUDY_SHAPED),
+                       STUDY_SHAPED, JSON))
+# Valid files whose numbers overflow: a moment order's powers, the filter's mean.
+@example(command="study", model=VALID_MODEL, study={**VALID_STUDY, "p_list": [700.0]})
+@example(command="kf", model={**VALID_MODEL, "init": {"mean": [1e308], "cov": [[1.0]]}},
+         study=VALID_STUDY)
+def test_arbitrary_json_never_escapes_main(command, model, study):
+    # Every input file, valid or not, ends in an exit code, never a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, content in (("model.json", model), ("study.json", study)):
+            paths.append(Path(tmp) / name)
+            paths[-1].write_text(json.dumps(content))
+        args = [command, str(paths[0])]
+        if command == "study":
+            args.append(str(paths[1]))
+        if command != "validate":
+            args += ["-o", str(Path(tmp) / "out")]
+        assert main(args) in (0, 1, 2)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd
+from oracles import coupled_scalars
 
 from enkf_lab import (
     CoupledState,
@@ -298,23 +299,6 @@ def _odd_model():
     return LinearModel(steps=steps, state_dim=3, obs_dim=1), init
 
 
-def _run_scalars(run, trajectory):
-    """The five kernel scalars per step, recomputed from a coupled_run."""
-    rows = []
-    for k, state in enumerate(run):
-        x, u = state.enkf_ensemble, state.reference_ensemble
-        exact = trajectory.analysis(k)
-        rows.append([
-            np.linalg.norm(x.members[:, 0] - u.members[:, 0]),
-            np.linalg.norm(x.members[:, 0]),
-            np.linalg.norm(sample_mean(x) - exact.mean),
-            np.linalg.norm(sample_cov(x) - exact.cov, ord="fro"),
-            np.nan if k == 0 else
-            np.linalg.norm(state.ensemble_gain - state.exact_gain, ord="fro"),
-        ])
-    return np.array(rows)
-
-
 class TestReplicateErrors:
     @pytest.mark.parametrize("problem", ["scalar", "reference", "odd"])
     def test_matches_coupled_run_at_every_n(self, request, problem):
@@ -332,7 +316,7 @@ class TestReplicateErrors:
         for row, replicate in enumerate(replicates):
             for j, n in enumerate(n_grid):
                 run = coupled_run(model, init, 7, replicate, n, kf_trajectory=trajectory)
-                assert np.array_equal(scalars[row, j], _run_scalars(run, trajectory),
+                assert np.array_equal(scalars[row, j], coupled_scalars(run, trajectory),
                                       equal_nan=True)
 
     def test_chain_failure_stops_that_n_only(self, scalar, scalar_kf, fail_chains):
@@ -430,7 +414,7 @@ class TestStackedChains:
                 for j, n in enumerate(n_grid):
                     run = coupled_run(model, init, seed, replicate, n,
                                       kf_trajectory=trajectory)
-                    assert np.array_equal(scalars[row, j], _run_scalars(run, trajectory),
+                    assert np.array_equal(scalars[row, j], coupled_scalars(run, trajectory),
                                           equal_nan=True)
 
     @settings(max_examples=40, deadline=None)

@@ -16,7 +16,10 @@ from enkf_lab import (
     member_moment,
     run_study,
 )
+from enkf_lab.enkf import MEMBER_DIFF
 from enkf_lab.experiment import StudyFormatError, config_hash
+
+from oracles import replicate_scalars
 
 
 @pytest.fixture(scope="module")
@@ -32,36 +35,34 @@ def scalar_runs(scalar, scalar_kf):
     return out
 
 
+@pytest.fixture(scope="module")
+def scalar_rows(scalar_runs, scalar_kf):
+    """The estimators' input for ``scalar_runs``: per N, the kernel scalars
+    of each replicate, recomputed from its trajectory."""
+    return {n: replicate_scalars(runs, scalar_kf) for n, runs in scalar_runs.items()}
+
+
 class TestMemberLpError:
-    def test_zero_at_initialization(self, scalar_runs):
-        est = member_lp_error(scalar_runs[16], 0, 2)
+    def test_zero_at_initialization(self, scalar_rows):
+        est = member_lp_error(scalar_rows[16], 0, 2)
         assert est.value == 0.0
         assert est.stderr == 0.0
 
     def test_two_replicate_formula(self):
         # with member-1 error norms {0, 2}: ((0 + 2^2)/2)^(1/2) = sqrt(2)
-        from types import SimpleNamespace
-
-        from enkf_lab import Ensemble
-
-        def state(diff):
-            return SimpleNamespace(
-                enkf_ensemble=Ensemble([[diff, diff]]),
-                reference_ensemble=Ensemble([[0.0, 0.0]]),
-            )
-
-        runs = [[state(0.0)], [state(2.0)]]
-        est = member_lp_error(runs, 0, 2)
+        scalars = np.zeros((2, 1, 5))
+        scalars[1, 0, MEMBER_DIFF] = 2.0
+        est = member_lp_error(scalars, 0, 2)
         assert abs(est.value - np.sqrt(2.0)) < 1e-15
 
-    def test_error_decreases_with_ensemble_size(self, scalar_runs):
-        small = member_lp_error(scalar_runs[16], 3, 2)
-        big = member_lp_error(scalar_runs[4096], 3, 2)
+    def test_error_decreases_with_ensemble_size(self, scalar_rows):
+        small = member_lp_error(scalar_rows[16], 3, 2)
+        big = member_lp_error(scalar_rows[4096], 3, 2)
         assert big.value < small.value
 
-    def test_p2_equals_root_mean_square_recomputation(self, scalar_runs):
+    def test_p2_equals_root_mean_square_recomputation(self, scalar_runs, scalar_rows):
         runs = scalar_runs[16]
-        est = member_lp_error(runs, 2, 2)
+        est = member_lp_error(scalar_rows[16], 2, 2)
         sq = [
             float(
                 np.sum(
@@ -76,13 +77,13 @@ class TestMemberLpError:
         ]
         assert abs(est.value - np.sqrt(np.mean(sq))) <= 1e-14
 
-    def test_needs_two_replicates(self, scalar_runs):
+    def test_needs_two_replicates(self, scalar_rows):
         with pytest.raises(ValueError, match="2 replicates"):
-            member_lp_error(scalar_runs[16][:1], 1, 2)
+            member_lp_error(scalar_rows[16][:1], 1, 2)
 
-    def test_step_out_of_range(self, scalar_runs):
+    def test_step_out_of_range(self, scalar_rows):
         with pytest.raises(ValueError, match="out of range"):
-            member_lp_error(scalar_runs[16], 9, 2)
+            member_lp_error(scalar_rows[16], 9, 2)
 
 
 class TestMeanCovError:
@@ -94,12 +95,12 @@ class TestMeanCovError:
             coupled_run(model, init, 0, r, 8, kf_trajectory=trajectory)
             for r in range(3)
         ]
-        mean_est, cov_est = mean_cov_error(runs, trajectory, 0)
+        mean_est, cov_est = mean_cov_error(replicate_scalars(runs, trajectory), 0)
         assert mean_est.value == 0.0
         assert cov_est.value == 0.0
 
-    def test_single_replicate_stderr_undefined(self, scalar_kf, scalar_runs):
-        mean_est, cov_est = mean_cov_error(scalar_runs[16][:1], scalar_kf, 1)
+    def test_single_replicate_stderr_undefined(self, scalar_rows):
+        mean_est, cov_est = mean_cov_error(scalar_rows[16][:1], 1)
         assert np.isnan(mean_est.stderr)
         assert np.isnan(cov_est.stderr)
 
@@ -116,7 +117,7 @@ class TestMeanCovError:
                 )
                 for r in range(30)
             ]
-            _, cov_est = mean_cov_error(runs, scalar_kf, 3)
+            _, cov_est = mean_cov_error(replicate_scalars(runs, scalar_kf), 3)
             errs.append(cov_est.value)
         fit = fit_rate(list(zip((16, 256, 4096), errs)))
         assert -0.75 < fit.slope < -0.25
@@ -132,25 +133,26 @@ class TestGainError:
             )
             for r in range(3)
         ]
+        scalars = replicate_scalars(runs, scalar_kf)
         for k in range(1, 4):
-            assert gain_error(runs, k).value == 0.0
+            assert gain_error(scalars, k).value == 0.0
 
-    def test_decreasing_in_n(self, scalar_runs):
+    def test_decreasing_in_n(self, scalar_rows):
         for k in range(1, 4):
-            assert gain_error(scalar_runs[4096], k).value < gain_error(
-                scalar_runs[16], k
+            assert gain_error(scalar_rows[4096], k).value < gain_error(
+                scalar_rows[16], k
             ).value
 
-    def test_no_gain_at_step_zero(self, scalar_runs):
+    def test_no_gain_at_step_zero(self, scalar_rows):
         with pytest.raises(ValueError, match="step 0"):
-            gain_error(scalar_runs[16], 0)
+            gain_error(scalar_rows[16], 0)
 
 
 class TestMomentMonitor:
-    def test_initial_moment_is_size_independent(self, scalar_runs):
+    def test_initial_moment_is_size_independent(self, scalar_rows):
         # member 1 at k=0 is literally the same draw at every N
-        a = member_moment(scalar_runs[16], 0, 4)
-        b = member_moment(scalar_runs[4096], 0, 4)
+        a = member_moment(scalar_rows[16], 0, 4)
+        b = member_moment(scalar_rows[4096], 0, 4)
         assert a.value == b.value
 
     def test_standard_normal_second_moment(self, empty_scalar):
@@ -162,10 +164,10 @@ class TestMomentMonitor:
             coupled_run(model, init, 3, r, 2, kf_trajectory=trajectory)
             for r in range(200)
         ]
-        est = member_moment(runs, 0, 2)
+        est = member_moment(replicate_scalars(runs, trajectory), 0, 2)
         assert abs(est.value - 1.0) <= 3 * est.stderr
 
-    def test_monitor_table_and_flag(self, scalar, scalar_runs):
+    def test_monitor_table_and_flag(self, scalar, scalar_rows):
         # the study tabulates member_moment over the grid and flags a
         # max/min ratio above MOMENT_FLAG_RATIO
         model, init = scalar
@@ -173,7 +175,7 @@ class TestMomentMonitor:
                              replicates=100, p_list=(4.0,),
                              metrics=(Metric.MOMENT_MONITOR,))
         report = run_study(config)
-        table = [member_moment(scalar_runs[n], 3, 4).value for n in (16, 4096)]
+        table = [member_moment(scalar_rows[n], 3, 4).value for n in (16, 4096)]
         assert [report.estimate("moment_p4", 3, n).estimate for n in (16, 4096)] == table
         (flag,) = [row for row in report.moment_flags if row.k == 3]
         assert flag.max_over_min == max(table) / min(table)
@@ -410,8 +412,8 @@ class TestRunStudy:
         assert report.estimate("member_lp_p2", 1, 4).estimate > 0
 
     def test_matches_public_estimators(self, scalar, scalar_kf):
-        # the study's estimates equal the trajectory-level estimators applied
-        # to coupled_run trajectories, bit for bit
+        # the study's estimates equal the public estimators applied to the
+        # scalars recomputed from coupled_run trajectories, bit for bit
         model, init = scalar
         config = StudyConfig(model=model, init=init, seed=4, n_grid=(4, 8, 16),
                              replicates=5, p_list=(2.0, 3.5))
@@ -424,15 +426,16 @@ class TestRunStudy:
         for n in config.n_grid:
             runs = [coupled_run(model, init, 4, r, n, kf_trajectory=scalar_kf)
                     for r in range(config.replicates)]
+            scalars = replicate_scalars(runs, scalar_kf)
             for k in range(len(model.steps) + 1):
                 for p, label in ((2.0, "p2"), (3.5, "p3.5")):
-                    check(f"member_lp_{label}", k, n, member_lp_error(runs, k, p))
-                    check(f"moment_{label}", k, n, member_moment(runs, k, p))
-                mean_est, cov_est = mean_cov_error(runs, scalar_kf, k)
+                    check(f"member_lp_{label}", k, n, member_lp_error(scalars, k, p))
+                    check(f"moment_{label}", k, n, member_moment(scalars, k, p))
+                mean_est, cov_est = mean_cov_error(scalars, k)
                 check("mean_err", k, n, mean_est)
                 check("cov_err", k, n, cov_est)
                 if k >= 1:
-                    check("gain_err", k, n, gain_error(runs, k))
+                    check("gain_err", k, n, gain_error(scalars, k))
         assert len(report.estimates) == 3 * (4 * 6 + 3)
 
     def test_one_pool_per_study(self, scalar, monkeypatch):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkf_lab import (
     GaussianState,
@@ -166,6 +168,38 @@ class TestRun:
             assert abs(trajectory.forecast(k).cov[0, 0] - f_var) < 1e-12
             assert abs(trajectory.analysis(k).mean[0] - mean) < 1e-12
             assert abs(trajectory.analysis(k).cov[0, 0] - var) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                # a nonzero A keeps every forecast variance positive, which
+                # the precision-form oracle divides by
+                st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),  # A
+                st.floats(-5.0, 5.0),  # b
+                st.floats(-3.0, 3.0),  # H
+                st.floats(0.01, 10.0),  # R
+                st.floats(-10.0, 10.0),  # data
+            ),
+            min_size=1, max_size=8,
+        ),
+        mean=st.floats(-10.0, 10.0),
+        var=st.floats(0.01, 10.0),
+    )
+    def test_random_scalar_chain_matches_density_product_oracle(self, steps, mean, var):
+        model = LinearModel(
+            steps=tuple(StepSpec(A=[[a]], b=[b], H=[[h]], R=[[r]], data=[d])
+                        for a, b, h, r, d in steps),
+            state_dim=1, obs_dim=1,
+        )
+        init = GaussianState([mean], [[var]])
+        trajectory = kf_run(model, init)
+        for k, expected in enumerate(conjugate_scalar_chain(model, init), start=1):
+            forecast, analysis = trajectory.forecast(k), trajectory.analysis(k)
+            actual = (forecast.mean[0], forecast.cov[0, 0], analysis.mean[0],
+                      analysis.cov[0, 0])
+            for got, want in zip(actual, expected):
+                assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_posterior_never_exceeds_forecast_loewner(self, reference, reference_kf, rng):
         for k in range(1, len(reference_kf) + 1):

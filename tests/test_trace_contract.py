@@ -41,7 +41,10 @@ def test_traced_study_runs_and_restores_every_name(tmp_path):
     finally:
         tracer.uninstall()
     assert rc == 0
-    assert tracer.layers()["experiment.run_study_s"] > 0
+    layers = tracer.layers()
+    assert layers["experiment.run_study_s"] > 0
+    # run_study estimates through the four public estimators the tracer wraps
+    assert layers["experiment.estimate_s"] > 0
     assert patched
     for (owner, attr), original in patched.items():
         assert getattr(owner, attr) is original, attr
