@@ -20,7 +20,6 @@ from .model import (
     validate_model,
 )
 from .kf import (
-    GainMatrix,
     KalmanStep,
     KalmanTrajectory,
     kf_analysis,
@@ -30,7 +29,6 @@ from .kf import (
 )
 from .ensemble import (
     DrawKey,
-    Ensemble,
     Role,
     init_ensemble,
     perturb_data,
@@ -44,7 +42,6 @@ from .enkf import (
     coupled_run,
     coupled_step,
     enkf_analysis,
-    enkf_forecast,
 )
 from .experiment import (
     ALL_METRICS,
@@ -69,9 +66,7 @@ __all__ = [
     "ConvergenceReport",
     "CoupledState",
     "DrawKey",
-    "Ensemble",
     "Estimate",
-    "GainMatrix",
     "GaussianState",
     "KalmanStep",
     "KalmanTrajectory",
@@ -87,7 +82,6 @@ __all__ = [
     "coupled_run",
     "coupled_step",
     "enkf_analysis",
-    "enkf_forecast",
     "fit_rate",
     "gain_error",
     "init_ensemble",

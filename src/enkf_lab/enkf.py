@@ -7,8 +7,8 @@ covariance, the reference ensemble U with the exact Kalman gain. Each step
 draws a single perturbed-data ensemble and feeds it to both updates, so
 member-wise differences X_i - U_i isolate the sampling error of the gain.
 
-The step functions take one ensemble or a stack of ensembles of one size
-(see ``Ensemble``) and treat each slice of a stack exactly as they would
+The step functions take one m x N ensemble array or a (B, m, N) stack of
+ensembles of one size and treat each slice of a stack exactly as they would
 treat it alone, bit for bit. ``coupled_run`` advances one chain;
 ``chunk_errors``, the study kernel, advances the chains of a chunk of
 replicates as one stack per ensemble size, and runs a chunk whose stack
@@ -22,8 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ensemble import Ensemble, init_ensemble, perturb_data, sample_cov, sample_mean
-from .kf import GainMatrix, KalmanTrajectory, kf_gain, kf_run
+from .ensemble import init_ensemble, perturb_data, sample_cov, sample_mean
+from .kf import KalmanTrajectory, kf_gain, kf_run
 from .model import GaussianState, LinearModel, apply_model
 
 # Test hook: maps a step index to a replacement for the forecast sample
@@ -37,50 +37,33 @@ class CoupledState:
 
     The ensembles may be stacks of B chains, with a stack of B ensemble gains
     and the one exact gain of the step. At step 0 the ensembles are one and
-    the same object; the gains are None because no analysis has happened yet.
+    the same array; the gains are None because no analysis has happened yet.
     """
 
-    enkf_ensemble: Ensemble
-    reference_ensemble: Ensemble
+    enkf_ensemble: np.ndarray
+    reference_ensemble: np.ndarray
     step: int
-    ensemble_gain: GainMatrix | None = None
-    exact_gain: GainMatrix | None = None
-
-    def __post_init__(self):
-        if self.enkf_ensemble.members.shape != self.reference_ensemble.members.shape:
-            raise ValueError(
-                "EnKF and reference ensembles must have identical shape, got "
-                f"{self.enkf_ensemble.members.shape} and "
-                f"{self.reference_ensemble.members.shape}"
-            )
-        if self.step == 0 and not np.array_equal(
-            self.enkf_ensemble.members, self.reference_ensemble.members
-        ):
-            raise ValueError("at step 0 both ensembles must be bit-identical")
-
-
-def enkf_forecast(model: LinearModel, k: int, ensemble: Ensemble) -> Ensemble:
-    """Push every member through the step-k dynamics."""
-    return Ensemble(apply_model(model, k, ensemble.members))
+    ensemble_gain: np.ndarray | None = None
+    exact_gain: np.ndarray | None = None
 
 
 def enkf_analysis(
-    forecast: Ensemble, data_ensemble: Ensemble, gain: GainMatrix, H: np.ndarray
-) -> Ensemble:
+    forecast: np.ndarray, data_ensemble: np.ndarray, gain: np.ndarray, H: np.ndarray
+) -> np.ndarray:
     """Member-wise update x_i + K (d_i - H x_i), applied as one matrix expression."""
-    if forecast.size != data_ensemble.size:
+    # A one-member data matrix would otherwise broadcast silently.
+    if forecast.shape[-1] != data_ensemble.shape[-1]:
         raise ValueError(
-            f"forecast has {forecast.size} members but data ensemble has "
-            f"{data_ensemble.size}"
+            f"forecast has {forecast.shape[-1]} members but data ensemble has "
+            f"{data_ensemble.shape[-1]}"
         )
-    xf = forecast.members
-    return Ensemble(xf + gain @ (data_ensemble.members - H @ xf))
+    return forecast + gain @ (data_ensemble - H @ forecast)
 
 
 def coupled_step(
     state: CoupledState,
     model: LinearModel,
-    data_ensemble: Ensemble,
+    data_ensemble: np.ndarray,
     kf_trajectory: KalmanTrajectory,
     forecast_cov_override: CovOverride | None = None,
 ) -> CoupledState:
@@ -94,8 +77,8 @@ def coupled_step(
     """
     k = state.step + 1
     step = model.step(k)
-    x_forecast = enkf_forecast(model, k, state.enkf_ensemble)
-    u_forecast = enkf_forecast(model, k, state.reference_ensemble)
+    x_forecast = apply_model(model, k, state.enkf_ensemble)
+    u_forecast = apply_model(model, k, state.reference_ensemble)
     if forecast_cov_override is not None:
         forecast_cov = forecast_cov_override(k)
     else:
@@ -152,11 +135,11 @@ def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
     """The five scalars of the column constants above, for every chain of a
     stacked state: shape (B, 5), NaN gain error at step 0."""
     x = state.enkf_ensemble
-    batch = x.members.shape[:-2]
+    batch = x.shape[:-2]
     # Member 1 copied to contiguous rows: a strided view rounds differently.
-    member = np.ascontiguousarray(x.members[..., 0])
+    member = np.ascontiguousarray(x[..., 0])
     errors = np.full(batch + (5,), np.nan)
-    errors[..., MEMBER_DIFF] = _norms(member - state.reference_ensemble.members[..., 0])
+    errors[..., MEMBER_DIFF] = _norms(member - state.reference_ensemble[..., 0])
     errors[..., MEMBER_NORM] = _norms(member)
     errors[..., MEAN_ERR] = _norms(sample_mean(x) - exact.mean)
     errors[..., COV_ERR] = _norms((sample_cov(x) - exact.cov).reshape(batch + (-1,)))
@@ -184,7 +167,9 @@ def chunk_errors(
     NaN where there is none (the gain at step 0, a failed chain), and a map
     from each replicate with a failure to {N: "ExcType: message"}. A single
     replicate records the first error at each N: a failed step stops that N,
-    a failed draw every N still running. A chunk of several replicates stops
+    a failed draw every N still running. A step fails if it raises or if one
+    of its scalars is not finite (the step-0 gain aside): this one check per
+    state stands in for checks of every array the step makes. A chunk of several replicates stops
     at its first failed draw or step, and runs this function again on each
     replicate alone. A slice of a stack is computed as it would be alone, so
     the rerun gives the same scalars and errors; but a failing chunk is
@@ -202,10 +187,10 @@ def chunk_errors(
             break
         try:
             if k == 0:
-                draws = [init_ensemble(seed, r, n_max, init).members for r in replicates]
+                draws = [init_ensemble(seed, r, n_max, init) for r in replicates]
             else:
                 step = model.step(k)
-                draws = [perturb_data(seed, r, k, n_max, step.data, step.R).members
+                draws = [perturb_data(seed, r, k, n_max, step.data, step.R)
                          for r in replicates]
         except Exception as exc:  # reported per (replicate, N) by run_study
             failed.update((n_grid[j], f"{type(exc).__name__}: {exc}") for j in running)
@@ -215,16 +200,20 @@ def chunk_errors(
         exact = kf_trajectory.analysis(k)
         for j in running:
             n = n_grid[j]
-            data = Ensemble(np.ascontiguousarray(draws[..., :n]))
+            data = np.ascontiguousarray(draws[..., :n])
             try:
                 states[n] = (CoupledState(data, data, step=0) if k == 0
                              else coupled_step(states[n], model, data, kf_trajectory))
+                rows = _errors(states[n], exact)
+                # The one finiteness check of a state; no gain at step 0.
+                if not np.isfinite(rows if k else rows[..., :GAIN_ERR]).all():
+                    raise ValueError("ensemble entries must be finite")
             except Exception as exc:  # reported per (replicate, N) by run_study
                 failed[n] = f"{type(exc).__name__}: {exc}"
                 if stacked:
                     break
                 continue
-            errors[:, j, k] = _errors(states[n], exact)
+            errors[:, j, k] = rows
     if failed and stacked:  # run again one replicate at a time
         parts = [chunk_errors(model, init, seed, (r,), n_grid, kf_trajectory)
                  for r in replicates]

@@ -1,4 +1,11 @@
-"""Ensemble containers, sample statistics, and keyed Gaussian sampling.
+"""Sample statistics, keyed Gaussian sampling, and ensemble files.
+
+An ensemble is an m x N float64 array with the members as columns, N >= 2;
+a (B, m, N) stack holds B ensembles of one size, and the sample statistics
+work slice by slice on it. Single-member ensembles are rejected where
+ensembles enter the program (the draws and ``read_ensemble``): the 1/N
+sample covariance is identically zero there and the size asymptotics are
+meaningless.
 
 Draw scheme 2, recorded in study reports as draw_scheme: each draw call is
 keyed by (seed, replicate, step, role), hashed once into a Philox key (Salmon
@@ -66,52 +73,17 @@ class DrawKey:
         return np.frombuffer(digest[:16], dtype=np.uint64).copy()
 
 
-@dataclass(frozen=True, eq=False)
-class Ensemble:
-    """m x N matrix with ensemble members as columns; N >= 2 always.
-
-    A leading batch axis, shape (B, m, N), stacks B ensembles of one size,
-    one per replicate; every function of this package that takes an
-    Ensemble works slice by slice on such a stack. Single-member ensembles
-    are rejected: the 1/N sample covariance is identically zero there and
-    the size asymptotics are meaningless.
-    """
-
-    members: np.ndarray
-
-    def __post_init__(self):
-        members = np.asarray(self.members, dtype=np.float64)
-        if members.ndim < 2:
-            raise ValueError(
-                f"members must be an m x N array or a stack of them, got ndim {members.ndim}"
-            )
-        if members.shape[-1] < 2:
-            raise ValueError(f"ensemble needs at least 2 members, got {members.shape[-1]}")
-        if not np.all(np.isfinite(members)):
-            raise ValueError("ensemble entries must be finite")
-        object.__setattr__(self, "members", members)
-
-    @property
-    def state_dim(self) -> int:
-        return self.members.shape[-2]
-
-    @property
-    def size(self) -> int:
-        return self.members.shape[-1]
-
-
-def sample_mean(ensemble: Ensemble) -> np.ndarray:
+def sample_mean(x: np.ndarray) -> np.ndarray:
     """Equally weighted mean of the member columns."""
-    return ensemble.members.mean(axis=-1)
+    return x.mean(axis=-1)
 
 
-def sample_cov(ensemble: Ensemble) -> np.ndarray:
+def sample_cov(x: np.ndarray) -> np.ndarray:
     """1/N-normalized sample covariance of the members, symmetrized.
 
     Note the 1/N (not 1/(N-1)) normalization: this is the second-moment
     covariance mean(x x^T) - mean(x) mean(x)^T, evaluated in centered form.
     """
-    x = ensemble.members
     centered = x - x.mean(axis=-1, keepdims=True)
     cov = (centered @ centered.mT) / x.shape[-1]
     return 0.5 * (cov + cov.mT)
@@ -140,7 +112,7 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
 def _draw_ensemble(
     seed: int, replicate: int, step: int, role: Role, n: int,
     mean: np.ndarray, cov: np.ndarray,
-) -> Ensemble:
+) -> np.ndarray:
     if n < 2:
         raise ValueError(f"ensemble size must be at least 2, got {n}")
     mean = np.asarray(mean, dtype=np.float64)
@@ -160,10 +132,10 @@ def _draw_ensemble(
     members = np.repeat(mean[:, None], n, axis=1)
     for k in range(dim):
         members += np.multiply.outer(factor[:, k], z[:, k])
-    return Ensemble(members)
+    return members
 
 
-def init_ensemble(seed: int, replicate: int, n: int, init: GaussianState) -> Ensemble:
+def init_ensemble(seed: int, replicate: int, n: int, init: GaussianState) -> np.ndarray:
     """Draw the initial ensemble: column i ~ N(u0, Q0) on its INIT stream.
 
     The first N columns for any larger size N' > N are bit-identical to the
@@ -174,7 +146,7 @@ def init_ensemble(seed: int, replicate: int, n: int, init: GaussianState) -> Ens
 
 def perturb_data(
     seed: int, replicate: int, k: int, n: int, data: np.ndarray, r_cov: np.ndarray
-) -> Ensemble:
+) -> np.ndarray:
     """Draw the step-k perturbed-data ensemble: column i ~ N(d, R).
 
     Streams are separated from the initial-ensemble streams by role, and the
@@ -191,19 +163,23 @@ def perturb_data(
 # ---------------------------------------------------------------------------
 
 
-def write_ensemble(path, ensemble: Ensemble) -> None:
-    payload = ensemble.members.astype("<f8").ravel(order="F").tobytes()
+def write_ensemble(path, ensemble: np.ndarray) -> None:
+    dim, n = ensemble.shape
+    payload = ensemble.astype("<f8").ravel(order="F").tobytes()
     with open(Path(path), "wb") as fh:
-        fh.write(_HEADER_STRUCT.pack(ensemble.state_dim, ensemble.size))
+        fh.write(_HEADER_STRUCT.pack(dim, n))
         fh.write(payload)
 
 
-def read_ensemble(path) -> Ensemble:
+def read_ensemble(path) -> np.ndarray:
+    """Read an m x N ensemble; the file must hold N >= 2 finite members."""
     with open(Path(path), "rb") as fh:
         header = fh.read(_HEADER_STRUCT.size)
         if len(header) != _HEADER_STRUCT.size:
             raise ValueError(f"truncated ensemble file {path}")
         dim, n = _HEADER_STRUCT.unpack(header)
+        if n < 2:
+            raise ValueError(f"ensemble needs at least 2 members, got {n}")
         payload = fh.read()
     expected = dim * n * 8
     if len(payload) != expected:
@@ -211,5 +187,7 @@ def read_ensemble(path) -> Ensemble:
             f"ensemble file {path} has {len(payload)} payload bytes, expected {expected}"
         )
     members = np.frombuffer(payload, dtype="<f8").reshape((dim, n), order="F")
-    return Ensemble(members.copy())
+    if not np.all(np.isfinite(members)):
+        raise ValueError("ensemble entries must be finite")
+    return members.copy()
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import hashlib
+import math
+import sys
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass, field
@@ -150,14 +152,28 @@ def _mean_estimate(values: np.ndarray) -> Estimate:
     return Estimate(value=value, stderr=stderr)
 
 
+# Natural logs of the bounds of float64's normal range.
+_LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+
 def _lp_estimate(norms: np.ndarray, p: float) -> Estimate:
     # Estimates (E |v|^p)^(1/p) by the replicate average of |v|^p; the
-    # standard error maps through the 1/p power by the delta method.
-    power = _mean_estimate(norms**p)
-    value = power.value ** (1.0 / p)
+    # standard error maps through the 1/p power by the delta method. Where
+    # the squares of the p-th powers (their sum, at the upper end) would
+    # leave float64's normal range, the estimate is taken of v / max|v| and
+    # scaled back by max|v|. That is decided in log space, before any power
+    # is taken, so an errstate of over="raise" cannot fire; every other
+    # input keeps the direct form and its bits.
+    top = float(norms.max())
+    scale = 1.0
+    if top > 0.0 and not _LOG_TINY <= 2.0 * p * math.log(top) <= _LOG_MAX - math.log(len(norms)):
+        scale = top
+    power = _mean_estimate((norms / scale) ** p)
+    value = scale * power.value ** (1.0 / p)
     if power.value == 0.0:  # all norms zero: stderr 0 (NaN for one replicate)
         return Estimate(value=value, stderr=power.stderr)
-    return Estimate(value=value, stderr=power.stderr * power.value ** (1.0 / p - 1.0) / p)
+    return Estimate(value=value,
+                    stderr=scale * power.stderr * power.value ** (1.0 / p - 1.0) / p)
 
 
 def member_lp_error(scalars, k: int, p: float) -> Estimate:

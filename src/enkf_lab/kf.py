@@ -15,9 +15,6 @@ from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .model import GaussianState, LinearModel, validate_model
 
-# Gains are plain (state_dim x obs_dim) float arrays.
-GainMatrix = np.ndarray
-
 
 def kf_forecast(prior: GaussianState, model: LinearModel, k: int) -> GaussianState:
     """Push a Gaussian state through the step-k dynamics.
@@ -32,7 +29,7 @@ def kf_forecast(prior: GaussianState, model: LinearModel, k: int) -> GaussianSta
     return GaussianState(mean, cov)
 
 
-def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> GainMatrix:
+def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Gain Q^f H^T (H Q^f H^T + R)^{-1}, via a Cholesky solve.
 
     Solves the SPD system (H Q^f H^T + R) Z = H Q^f and returns Z^T; R must be
@@ -66,7 +63,7 @@ def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> GainMatri
 
 
 def kf_analysis(
-    forecast: GaussianState, gain: GainMatrix, H: np.ndarray, data: np.ndarray
+    forecast: GaussianState, gain: np.ndarray, H: np.ndarray, data: np.ndarray
 ) -> GaussianState:
     """Condition a forecast on the data: u + L (d - H u), (I - L H) Q^f."""
     H = np.asarray(H, dtype=np.float64)
@@ -81,7 +78,7 @@ def kf_analysis(
 @dataclass(frozen=True, eq=False)
 class KalmanStep:
     forecast: GaussianState
-    gain: GainMatrix
+    gain: np.ndarray
     analysis: GaussianState
 
 
@@ -107,7 +104,7 @@ class KalmanTrajectory:
     def forecast(self, k: int) -> GaussianState:
         return self._step(k).forecast
 
-    def gain(self, k: int) -> GainMatrix:
+    def gain(self, k: int) -> np.ndarray:
         return self._step(k).gain
 
     def _step(self, k: int) -> KalmanStep:

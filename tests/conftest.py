@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from enkf_lab import GaussianState, LinearModel, kf_run
+from enkf_lab import GaussianState, LinearModel, StepSpec, kf_run
 from enkf_lab.reference import reference_model, scalar_model
 
 
@@ -34,6 +34,16 @@ def empty_scalar():
     return model, GaussianState(mean=[0.5], cov=[[2.0]])
 
 
+@pytest.fixture(scope="session")
+def diverging():
+    """One scalar step with A = 1e153: the exact filter stays finite, but the
+    forecast members reach about 1e153, so the N = 4096 forecast sample
+    covariance overflows."""
+    step = StepSpec(A=[[1e153]], b=[0.0], H=[[1.0]], R=[[1.0]], data=[0.0])
+    model = LinearModel(steps=(step,), state_dim=1, obs_dim=1)
+    return model, GaussianState(mean=[0.0], cov=[[1.0]])
+
+
 def random_spd(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim))
     return scale * (g @ g.T) + 0.1 * scale * np.eye(dim)
@@ -61,12 +71,12 @@ def fail_chains(monkeypatch):
         def perturb_data(seed, replicate, k, size, data, r_cov):
             drawn = real_draw(seed, replicate, k, size, data, r_cov)
             if replicate in replicates:
-                armed.add(drawn.members[:, 0].tobytes())
+                armed.add(drawn[:, 0].tobytes())
             return drawn
 
         def coupled_step(state, model, data_ensemble, *args, **kwargs):
-            firsts = data_ensemble.members[..., 0].reshape(-1, data_ensemble.state_dim)
-            if data_ensemble.size == n and any(row.tobytes() in armed for row in firsts):
+            firsts = data_ensemble[..., 0].reshape(-1, data_ensemble.shape[-2])
+            if data_ensemble.shape[-1] == n and any(row.tobytes() in armed for row in firsts):
                 raise RuntimeError("synthetic failure")
             return real_step(state, model, data_ensemble, *args, **kwargs)
 

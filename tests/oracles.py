@@ -24,8 +24,8 @@ def coupled_scalars(run, trajectory):
         x, u = state.enkf_ensemble, state.reference_ensemble
         exact = trajectory.analysis(k)
         rows.append([
-            np.linalg.norm(x.members[:, 0] - u.members[:, 0]),
-            np.linalg.norm(x.members[:, 0]),
+            np.linalg.norm(x[:, 0] - u[:, 0]),
+            np.linalg.norm(x[:, 0]),
             np.linalg.norm(sample_mean(x) - exact.mean),
             np.linalg.norm(sample_cov(x) - exact.cov, ord="fro"),
             np.nan if k == 0 else

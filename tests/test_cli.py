@@ -179,9 +179,9 @@ class TestStudyCommand:
             for entry in index["steps"]:
                 x = read_ensemble(n_dir / entry["x"])
                 u = read_ensemble(n_dir / entry["u"])
-                assert x.size == n and u.size == n
+                assert x.shape == u.shape == (1, n)
                 if entry["k"] == 0:
-                    assert np.array_equal(x.members, u.members)
+                    assert np.array_equal(x, u)
                     assert entry["ensemble_gain"] is None
                 else:
                     assert entry["ensemble_gain"] is not None
@@ -253,6 +253,21 @@ class TestStudyCommand:
         # the two surviving replicates still estimate N=8
         assert {row["n"] for row in report["estimates"]} == {4, 8, 16}
 
+    def test_diverging_chain_reported_and_exit_one(self, diverging, tmp_path, capsys):
+        # the N = 4096 forecast covariance overflows: every replicate fails
+        # there, and the report is still written
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_dict(*diverging)))
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 64, 4096], "replicates": 4}))
+        out = tmp_path / "out"
+        assert main(["study", str(model), str(study), "-o", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert [f["replicate"] for f in report["metadata"]["failures"]["4096"]] == [0, 1, 2, 3]
+        err = capsys.readouterr().err
+        assert "error: N=4096: 4 of 4 replicates failed" in err
+        assert "N=4096 is dropped from the estimates" in err
+
     def test_dropped_n_reported_and_exit_one(
         self, scalar_model_file, study_file, tmp_path, capsys, fail_chains
     ):
@@ -287,17 +302,20 @@ class TestStudyCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("p_list", [[700.0], [1e300]])
-    def test_overflowing_moment_order_exit_one(self, scalar_model_file, tmp_path, capsys,
-                                               p_list):
-        # p-th powers beyond float64's range end the study with exit 1
+    @pytest.mark.parametrize("p", [700.0, 1000.0, 1e300], ids=["p700", "p1000", "p1e300"])
+    def test_large_moment_order_exit_zero(self, scalar_model_file, tmp_path, p):
+        # p-th powers beyond float64's range are taken of the norms divided
+        # by their largest, so every L^p estimate stays finite
         study = tmp_path / "study.json"
         study.write_text(json.dumps({"n_grid": [2, 4, 8], "replicates": 2,
-                                     "p_list": p_list}))
+                                     "p_list": [p], "metrics": ["member_lp", "moment"]}))
         out = tmp_path / "out"
-        assert main(["study", str(scalar_model_file), str(study), "-o", str(out)]) == 1
-        assert "error: overflow encountered in" in capsys.readouterr().err
-        assert not out.exists()
+        assert main(["study", str(scalar_model_file), str(study), "-o", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["estimates"]
+        assert len(rows) == 2 * 3 * 4
+        for row in rows:
+            assert row["stderr"] is not None and row["stderr"] >= 0
+            assert row["estimate"] > 0 or row["metric"].startswith("member_lp") and row["k"] == 0
 
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_workers_out_of_range_exit_one(self, scalar_model_file, study_file,
@@ -368,7 +386,7 @@ def _over(valid: dict, shaped):
                        MODEL_SHAPED, JSON),
        study=st.one_of(st.just(VALID_STUDY), _over(VALID_STUDY, STUDY_SHAPED),
                        STUDY_SHAPED, JSON))
-# Valid files whose numbers overflow: a moment order's powers, the filter's mean.
+# Valid files with extreme numbers: a large moment order, an overflowing filter mean.
 @example(command="study", model=VALID_MODEL, study={**VALID_STUDY, "p_list": [700.0]})
 @example(command="kf", model={**VALID_MODEL, "init": {"mean": [1e308], "cov": [[1.0]]}},
          study=VALID_STUDY)

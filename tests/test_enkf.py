@@ -7,15 +7,13 @@ from conftest import random_spd
 from oracles import coupled_scalars
 
 from enkf_lab import (
-    CoupledState,
-    Ensemble,
     GaussianState,
     LinearModel,
     StepSpec,
+    apply_model,
     coupled_run,
     coupled_step,
     enkf_analysis,
-    enkf_forecast,
     kf_gain,
     kf_run,
     perturb_data,
@@ -30,14 +28,14 @@ class TestForecastAndGain:
         step = StepSpec(A=np.eye(3), b=np.zeros(3), H=np.eye(3), R=np.eye(3),
                         data=np.zeros(3))
         model = LinearModel(steps=(step,), state_dim=3, obs_dim=3)
-        ens = Ensemble(rng.standard_normal((3, 6)))
-        assert np.array_equal(enkf_forecast(model, 1, ens).members, ens.members)
+        ens = rng.standard_normal((3, 6))
+        assert np.array_equal(apply_model(model, 1, ens), ens)
 
     def test_duplicated_member_stays_duplicated(self, scalar):
         model, _ = scalar
-        ens = Ensemble(np.full((1, 5), 3.0))
-        out = enkf_forecast(model, 1, ens)
-        assert np.array_equal(out.members, np.full((1, 5), 7.0))
+        ens = np.full((1, 5), 3.0)
+        out = apply_model(model, 1, ens)
+        assert np.array_equal(out, np.full((1, 5), 7.0))
 
     def test_gain_is_kf_gain_on_same_input(self, reference, reference_kf):
         # the ensemble gain is the exact-gain formula and solver applied to
@@ -46,7 +44,7 @@ class TestForecastAndGain:
         run = coupled_run(model, init, 2, 1, 12, kf_trajectory=reference_kf)
         for k in range(1, len(run)):
             step = model.step(k)
-            xf = enkf_forecast(model, k, run[k - 1].enkf_ensemble)
+            xf = apply_model(model, k, run[k - 1].enkf_ensemble)
             expected = kf_gain(sample_cov(xf), step.H, step.R)
             assert np.array_equal(run[k].ensemble_gain, expected)
 
@@ -64,41 +62,32 @@ class TestForecastAndGain:
         for state in run[1:]:
             assert np.array_equal(state.ensemble_gain, np.zeros((4, 2)))
 
-    def test_forecast_is_apply_model_on_the_matrix(self, reference, rng):
-        from enkf_lab import apply_model
-
-        model, _ = reference
-        ens = Ensemble(rng.standard_normal((4, 5)))
-        assert np.array_equal(
-            enkf_forecast(model, 2, ens).members, apply_model(model, 2, ens.members)
-        )
-
 
 class TestAnalysis:
     def test_zero_gain_keeps_forecast(self, rng):
-        xf = Ensemble(rng.standard_normal((2, 4)))
-        d = Ensemble(rng.standard_normal((1, 4)))
+        xf = rng.standard_normal((2, 4))
+        d = rng.standard_normal((1, 4))
         out = enkf_analysis(xf, d, np.zeros((2, 1)), np.ones((1, 2)))
-        assert np.array_equal(out.members, xf.members)
+        assert np.array_equal(out, xf)
 
     def test_zero_innovation_keeps_forecast(self, rng):
-        xf = Ensemble(rng.standard_normal((2, 5)))
+        xf = rng.standard_normal((2, 5))
         h = rng.standard_normal((1, 2))
-        d = Ensemble(h @ xf.members)
+        d = h @ xf
         gain = rng.standard_normal((2, 1))
         out = enkf_analysis(xf, d, gain, h)
-        assert np.abs(out.members - xf.members).max() < 1e-15
+        assert np.abs(out - xf).max() < 1e-15
 
     def test_hand_worked_update(self):
-        xf = Ensemble([[0.0, 2.0]])
-        d = Ensemble([[1.0, 1.0]])
+        xf = np.array([[0.0, 2.0]])
+        d = np.array([[1.0, 1.0]])
         out = enkf_analysis(xf, d, np.array([[0.5]]), np.array([[1.0]]))
         # members 0 + 0.5*(1-0) and 2 + 0.5*(1-2)
-        assert np.array_equal(out.members, [[0.5, 1.5]])
+        assert np.array_equal(out, [[0.5, 1.5]])
 
     def test_member_count_mismatch(self, rng):
-        xf = Ensemble(rng.standard_normal((2, 4)))
-        d = Ensemble(rng.standard_normal((1, 5)))
+        xf = rng.standard_normal((2, 4))
+        d = rng.standard_normal((1, 5))
         with pytest.raises(ValueError, match="members"):
             enkf_analysis(xf, d, np.zeros((2, 1)), np.ones((1, 2)))
 
@@ -110,11 +99,11 @@ class TestAnalysis:
         run = coupled_run(model, init, seed, rep, n, kf_trajectory=reference_kf)
         for k in range(1, len(run)):
             step = model.step(k)
-            uf = enkf_forecast(model, k, run[k - 1].reference_ensemble)
+            uf = apply_model(model, k, run[k - 1].reference_ensemble)
             d = perturb_data(seed, rep, k, n, step.data, step.R)
             assert np.array_equal(
-                run[k].reference_ensemble.members,
-                enkf_analysis(uf, d, reference_kf.gain(k), step.H).members,
+                run[k].reference_ensemble,
+                enkf_analysis(uf, d, reference_kf.gain(k), step.H),
             )
 
     def test_reference_members_follow_filtering_law(self, scalar, scalar_kf):
@@ -138,12 +127,12 @@ class TestCoupledStep:
         run = coupled_run(model, init, seed, rep, n, kf_trajectory=reference_kf)
         state = run[1]
         # X - U after the first analysis is (K - L)(D - H X^f), since X^f = U^f
-        xf = enkf_forecast(model, 1, run[0].enkf_ensemble)
+        xf = apply_model(model, 1, run[0].enkf_ensemble)
         d = perturb_data(seed, rep, 1, n, model.step(1).data, model.step(1).R)
         expected = (state.ensemble_gain - state.exact_gain) @ (
-            d.members - model.step(1).H @ xf.members
+            d - model.step(1).H @ xf
         )
-        actual = state.enkf_ensemble.members - state.reference_ensemble.members
+        actual = state.enkf_ensemble - state.reference_ensemble
         assert np.abs(actual - expected).max() < 1e-12
 
     def test_degenerate_prior_gives_zero_ensemble_gain(self, scalar, ):
@@ -155,10 +144,10 @@ class TestCoupledStep:
         state = run[1]
         assert np.array_equal(state.ensemble_gain, np.zeros((1, 1)))
         # divergence is (0 - L)(D - H X^f)
-        xf = enkf_forecast(model, 1, run[0].enkf_ensemble)
+        xf = apply_model(model, 1, run[0].enkf_ensemble)
         d = perturb_data(seed, rep, 1, n, model.step(1).data, model.step(1).R)
-        expected = -state.exact_gain @ (d.members - model.step(1).H @ xf.members)
-        actual = state.enkf_ensemble.members - state.reference_ensemble.members
+        expected = -state.exact_gain @ (d - model.step(1).H @ xf)
+        actual = state.enkf_ensemble - state.reference_ensemble
         assert np.abs(actual - expected).max() < 1e-12
 
     def test_scalar_gain_close_at_large_n(self, scalar, scalar_kf):
@@ -186,7 +175,7 @@ class TestCoupledRun:
         model, init = reference
         run = coupled_run(model, init, 0, 0, 16, kf_trajectory=reference_kf)
         assert np.array_equal(
-            run[0].enkf_ensemble.members, run[0].reference_ensemble.members
+            run[0].enkf_ensemble, run[0].reference_ensemble
         )
 
     def test_deterministic_reruns(self, reference, reference_kf):
@@ -194,9 +183,9 @@ class TestCoupledRun:
         a = coupled_run(model, init, 5, 7, 32, kf_trajectory=reference_kf)
         b = coupled_run(model, init, 5, 7, 32, kf_trajectory=reference_kf)
         for sa, sb in zip(a, b):
-            assert np.array_equal(sa.enkf_ensemble.members, sb.enkf_ensemble.members)
+            assert np.array_equal(sa.enkf_ensemble, sb.enkf_ensemble)
             assert np.array_equal(
-                sa.reference_ensemble.members, sb.reference_ensemble.members
+                sa.reference_ensemble, sb.reference_ensemble
             )
 
     def test_reference_trajectory_prefix_stable_in_n(self, reference, reference_kf):
@@ -208,8 +197,8 @@ class TestCoupledRun:
         big = coupled_run(model, init, 0, 3, 512, kf_trajectory=reference_kf)
         for k in range(len(small)):
             assert np.array_equal(
-                big[k].reference_ensemble.members[:, :8],
-                small[k].reference_ensemble.members,
+                big[k].reference_ensemble[:, :8],
+                small[k].reference_ensemble,
             )
 
     def test_coupling_identity_every_step(self, reference, reference_kf):
@@ -217,11 +206,11 @@ class TestCoupledRun:
         run = coupled_run(model, init, 1, 0, 24, kf_trajectory=reference_kf)
         for k in range(1, len(run)):
             a = model.step(k).A
-            xf = enkf_forecast(model, k, run[k - 1].enkf_ensemble).members
-            uf = enkf_forecast(model, k, run[k - 1].reference_ensemble).members
+            xf = apply_model(model, k, run[k - 1].enkf_ensemble)
+            uf = apply_model(model, k, run[k - 1].reference_ensemble)
             prev_diff = (
-                run[k - 1].enkf_ensemble.members
-                - run[k - 1].reference_ensemble.members
+                run[k - 1].enkf_ensemble
+                - run[k - 1].reference_ensemble
             )
             assert np.abs((xf - uf) - a @ prev_diff).max() < 1e-12
 
@@ -234,22 +223,22 @@ class TestCoupledRun:
         run = coupled_run(model, init, seed, rep, n, kf_trajectory=reference_kf)
         perm = np.random.default_rng(0).permutation(n)
 
-        x = Ensemble(run[0].enkf_ensemble.members[:, perm])
+        x = run[0].enkf_ensemble[:, perm]
         u = x
         for k in range(1, len(run)):
             step = model.step(k)
-            xf = enkf_forecast(model, k, x)
-            uf = enkf_forecast(model, k, u)
+            xf = apply_model(model, k, x)
+            uf = apply_model(model, k, u)
             d = perturb_data(seed, rep, k, n, step.data, step.R)
-            d = Ensemble(d.members[:, perm])
+            d = d[:, perm]
             gain = kf_gain(sample_cov(xf), step.H, step.R)
             x = enkf_analysis(xf, d, gain, step.H)
             u = enkf_analysis(uf, d, reference_kf.gain(k), step.H)
 
             orig = run[k]
-            assert np.abs(x.members - orig.enkf_ensemble.members[:, perm]).max() < 1e-12
+            assert np.abs(x - orig.enkf_ensemble[:, perm]).max() < 1e-12
             assert np.abs(
-                u.members - orig.reference_ensemble.members[:, perm]
+                u - orig.reference_ensemble[:, perm]
             ).max() < 1e-12
             assert np.abs(gain - orig.ensemble_gain).max() < 1e-12
             assert np.abs(
@@ -266,7 +255,7 @@ class TestCoupledRun:
         for state in run[1:]:
             assert np.array_equal(state.ensemble_gain, state.exact_gain)
             assert np.array_equal(
-                state.enkf_ensemble.members, state.reference_ensemble.members
+                state.enkf_ensemble, state.reference_ensemble
             )
 
     def test_reference_law_pooled_over_replicates(self, scalar, scalar_kf):
@@ -277,7 +266,7 @@ class TestCoupledRun:
         pooled = np.hstack(
             [
                 coupled_run(model, init, 4, r, n, kf_trajectory=scalar_kf)[k]
-                .reference_ensemble.members
+                .reference_ensemble
                 for r in range(reps)
             ]
         )
@@ -429,24 +418,5 @@ class TestStackedChains:
                           forecast_cov_override=lambda k: trajectory.forecast(k).cov)
         for state in run[1:]:
             assert np.array_equal(state.ensemble_gain, state.exact_gain)
-            assert np.array_equal(state.enkf_ensemble.members,
-                                  state.reference_ensemble.members)
-
-
-class TestCoupledState:
-    def test_shape_mismatch_rejected(self, rng):
-        with pytest.raises(ValueError, match="identical shape"):
-            CoupledState(
-                enkf_ensemble=Ensemble(rng.standard_normal((2, 4))),
-                reference_ensemble=Ensemble(rng.standard_normal((2, 5))),
-                step=0,
-            )
-
-    def test_initial_state_requires_identical_ensembles(self, rng):
-        x = rng.standard_normal((2, 4))
-        with pytest.raises(ValueError, match="bit-identical"):
-            CoupledState(
-                enkf_ensemble=Ensemble(x),
-                reference_ensemble=Ensemble(x + 1e-12),
-                step=0,
-            )
+            assert np.array_equal(state.enkf_ensemble,
+                                  state.reference_ensemble)

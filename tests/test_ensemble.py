@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from enkf_lab import (
     DrawKey,
-    Ensemble,
     GaussianState,
     Role,
     StudyConfig,
@@ -24,31 +23,38 @@ from enkf_lab.reference import scalar_model
 
 
 class TestEnsembleType:
-    def test_single_member_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            Ensemble(np.zeros((3, 1)))
+    """An ensemble is an m x N array of N >= 2 finite members; the check is
+    made where one enters the program from a file."""
 
-    def test_non_finite_rejected(self):
+    def test_single_member_rejected(self, tmp_path):
+        path = tmp_path / "ens.bin"
+        write_ensemble(path, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="at least 2"):
+            read_ensemble(path)
+
+    def test_non_finite_rejected(self, tmp_path):
         bad = np.zeros((2, 3))
         bad[1, 2] = np.nan
+        path = tmp_path / "ens.bin"
+        write_ensemble(path, bad)
         with pytest.raises(ValueError, match="finite"):
-            Ensemble(bad)
+            read_ensemble(path)
 
-    def test_shape_properties(self):
-        ens = Ensemble(np.zeros((3, 5)))
-        assert ens.state_dim == 3
-        assert ens.size == 5
+    def test_shape_properties(self, tmp_path):
+        path = tmp_path / "ens.bin"
+        write_ensemble(path, np.zeros((3, 5)))
+        assert read_ensemble(path).shape == (3, 5)
 
 
 class TestSampleStatistics:
     def test_constant_ensemble_mean(self):
         v = np.array([1.0, -2.0, 3.0])
-        ens = Ensemble(np.tile(v[:, None], (1, 4)))
+        ens = np.tile(v[:, None], (1, 4))
         assert np.array_equal(sample_mean(ens), v)
         assert np.array_equal(sample_cov(ens), np.zeros((3, 3)))
 
     def test_scalar_two_members(self):
-        ens = Ensemble([[0.0, 2.0]])
+        ens = np.array([[0.0, 2.0]])
         assert sample_mean(ens)[0] == 1.0
         # (0 + 4)/2 - 1^2 with the 1/N normalization
         assert sample_cov(ens)[0, 0] == 1.0
@@ -58,26 +64,25 @@ class TestSampleStatistics:
 
         x = rng.standard_normal((3, 7))
         mean, cov = mean_cov_loops(x)
-        ens = Ensemble(x)
-        assert np.abs(sample_mean(ens) - mean).max() < 1e-14
-        assert np.abs(sample_cov(ens) - cov).max() < 1e-14
+        assert np.abs(sample_mean(x) - mean).max() < 1e-14
+        assert np.abs(sample_cov(x) - cov).max() < 1e-14
 
     def test_permutation_invariance(self, rng):
         x = rng.standard_normal((4, 9))
         perm = rng.permutation(9)
-        a, b = Ensemble(x), Ensemble(x[:, perm])
+        a, b = x, x[:, perm]
         assert np.abs(sample_mean(a) - sample_mean(b)).max() <= 1e-14
         assert np.abs(sample_cov(a) - sample_cov(b)).max() <= 1e-14
 
     def test_cov_invariant_under_constant_shift(self, rng):
         x = rng.standard_normal((3, 8))
         shift = rng.standard_normal(3) * 10
-        c0 = sample_cov(Ensemble(x))
-        c1 = sample_cov(Ensemble(x + shift[:, None]))
+        c0 = sample_cov(x)
+        c1 = sample_cov(x + shift[:, None])
         assert np.abs(c1 - c0).max() <= 1e-12 * max(1.0, np.abs(c0).max())
 
     def test_cov_psd(self, rng):
-        cov = sample_cov(Ensemble(rng.standard_normal((5, 12))))
+        cov = sample_cov(rng.standard_normal((5, 12)))
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-10 * eigs.max()
 
@@ -86,7 +91,7 @@ class TestSampleStatistics:
         gen = np.random.default_rng(5)
         errors = []
         for n in (10**2, 10**4, 10**6):
-            ens = Ensemble(gen.normal(0.0, 2.0, size=(1, n)))
+            ens = gen.normal(0.0, 2.0, size=(1, n))
             errors.append(abs(sample_cov(ens)[0, 0] - 4.0))
         assert errors[0] > errors[1] > errors[2]
 
@@ -94,11 +99,11 @@ class TestSampleStatistics:
 class TestDrawKeys:
     def test_same_key_same_bits(self, reference):
         _, init = reference
-        assert np.array_equal(init_ensemble(7, 1, 5, init).members,
-                              init_ensemble(7, 1, 5, init).members)
+        assert np.array_equal(init_ensemble(7, 1, 5, init),
+                              init_ensemble(7, 1, 5, init))
         d, r = np.array([1.0, 2.0]), np.diag([1.0, 3.0])
-        assert np.array_equal(perturb_data(7, 1, 2, 5, d, r).members,
-                              perturb_data(7, 1, 2, 5, d, r).members)
+        assert np.array_equal(perturb_data(7, 1, 2, 5, d, r),
+                              perturb_data(7, 1, 2, 5, d, r))
 
     def test_any_field_change_changes_draw(self, rng):
         d, r = np.zeros(2), np.eye(2)
@@ -110,7 +115,7 @@ class TestDrawKeys:
         }
 
         def draw(key):
-            return perturb_data(key.experiment_seed, key.replicate, key.step, 3, d, r).members
+            return perturb_data(key.experiment_seed, key.replicate, key.step, 3, d, r)
 
         for _ in range(100):
             base = DrawKey(
@@ -130,13 +135,13 @@ class TestGaussianDraw:
     def test_zero_cov_returns_mean_exactly(self):
         mean = np.array([3.0, -1.0])
         ens = perturb_data(0, 0, 1, 5, mean, np.zeros((2, 2)))
-        assert np.array_equal(ens.members, np.tile(mean[:, None], (1, 5)))
+        assert np.array_equal(ens, np.tile(mean[:, None], (1, 5)))
 
     def test_law_of_large_numbers(self):
         mean = np.array([1.0, -2.0])
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         n = 10**5
-        draws = init_ensemble(11, 0, n, GaussianState(mean, cov)).members
+        draws = init_ensemble(11, 0, n, GaussianState(mean, cov))
         emp_mean = draws.mean(axis=1)
         sigma = np.sqrt(np.diag(cov))
         assert np.all(np.abs(emp_mean - mean) <= 4 * sigma / np.sqrt(n))
@@ -146,7 +151,7 @@ class TestGaussianDraw:
 
     def test_singular_cov_accepted_via_jitter(self):
         cov = np.diag([1.0, 0.0])
-        draws = init_ensemble(3, 0, 1000, GaussianState(np.zeros(2), cov)).members
+        draws = init_ensemble(3, 0, 1000, GaussianState(np.zeros(2), cov))
         assert np.all(np.isfinite(draws))
         # the zero-variance component moves at most by the jitter scale
         assert np.abs(draws[1]).max() < 1e-4
@@ -157,7 +162,7 @@ class TestInitEnsemble:
         _, init = reference
         small = init_ensemble(42, 0, 2, init)
         big = init_ensemble(42, 0, 1000, init)
-        assert np.array_equal(big.members[:, :2], small.members)
+        assert np.array_equal(big[:, :2], small)
 
     def test_member_owns_its_counter_words(self, reference):
         # Member i is Box-Muller on raw words [i*w, (i+1)*w) of the keyed
@@ -174,12 +179,12 @@ class TestInitEnsemble:
             expected = init.mean.copy()
             for k in range(4):
                 expected += factor[:, k] * z[k]
-            assert np.array_equal(ens.members[:, i], expected)
+            assert np.array_equal(ens[:, i], expected)
 
     def test_degenerate_prior_collapses(self):
         init = GaussianState(mean=[2.0, -1.0], cov=np.zeros((2, 2)))
         ens = init_ensemble(0, 0, 10, init)
-        assert np.array_equal(ens.members, np.tile([[2.0], [-1.0]], (1, 10)))
+        assert np.array_equal(ens, np.tile([[2.0], [-1.0]], (1, 10)))
 
     def test_sample_mean_concentrates(self):
         init = GaussianState(mean=[0.0], cov=[[1.0]])
@@ -199,7 +204,7 @@ class TestPerturbData:
         r = np.array([[0.5, 0.1], [0.1, 0.4]])
         small = perturb_data(7, 1, 3, 3, d, r)
         big = perturb_data(7, 1, 3, 100, d, r)
-        assert np.array_equal(big.members[:, :3], small.members)
+        assert np.array_equal(big[:, :3], small)
 
     def test_near_degenerate_r_stays_close_to_data(self):
         eps = 1e-12
@@ -207,7 +212,7 @@ class TestPerturbData:
         d = np.array([4.0])
         ens = perturb_data(0, 0, 1, n, d, eps * np.eye(1))
         bound = 4 * np.sqrt(eps) * np.sqrt(2 * np.log(n))
-        assert np.abs(ens.members - 4.0).max() <= bound
+        assert np.abs(ens - 4.0).max() <= bound
 
     def test_empirical_covariance_matches_r(self):
         d = np.array([0.0, 1.0])
@@ -225,19 +230,19 @@ class TestPerturbData:
         _, init = reference
         a = init_ensemble(5, 0, 4, GaussianState(np.zeros(2), np.eye(2)))
         b = perturb_data(5, 0, 1, 4, np.zeros(2), np.eye(2))
-        assert not np.allclose(a.members, b.members)
+        assert not np.allclose(a, b)
 
 
 class TestSerialization:
     def test_binary_round_trip_bit_exact(self, tmp_path, rng):
-        ens = Ensemble(rng.standard_normal((3, 7)))
+        ens = rng.standard_normal((3, 7))
         path = tmp_path / "ens.bin"
         write_ensemble(path, ens)
         back = read_ensemble(path)
-        assert np.array_equal(back.members, ens.members)
+        assert np.array_equal(back, ens)
 
     def test_binary_layout(self, tmp_path):
-        ens = Ensemble(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        ens = np.array([[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "ens.bin"
         write_ensemble(path, ens)
         raw = path.read_bytes()
@@ -283,7 +288,7 @@ class TestPrefixPropertyRandomSizes:
         init = GaussianState(mean, cov)
         small = init_ensemble(seed, replicate, n, init)
         big = init_ensemble(seed, replicate, big_n, init)
-        assert np.array_equal(big.members[:, :n], small.members)
+        assert np.array_equal(big[:, :n], small)
 
     @settings(max_examples=60, deadline=None)
     @given(**sizes, k=st.integers(1, 50))
@@ -293,7 +298,7 @@ class TestPrefixPropertyRandomSizes:
         d, r = _random_gaussian(seed, m)
         small = perturb_data(seed, replicate, k, n, d, r)
         big = perturb_data(seed, replicate, k, big_n, d, r)
-        assert np.array_equal(big.members[:, :n], small.members)
+        assert np.array_equal(big[:, :n], small)
 
 
 RAW_WORDS_DIGEST = "6b5647362e92995e2e6b43d610dd5c5854e52a8081172cb82e020438237060da"

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from enkf_lab import (
     GaussianState,
@@ -42,6 +43,16 @@ def scalar_rows(scalar_runs, scalar_kf):
     return {n: replicate_scalars(runs, scalar_kf) for n, runs in scalar_runs.items()}
 
 
+def lp_log_space(norms, p):
+    """(mean |v|^p)^(1/p) and its delta-method standard error, computed from
+    logarithms: se = value * std(|v|^p / mean |v|^p) / (p sqrt(R))."""
+    logs = p * np.log(norms)
+    log_mean = logsumexp(logs) - np.log(len(norms))
+    value = np.exp(log_mean / p)
+    ratios = np.exp(logs - log_mean)
+    return value, value * ratios.std(ddof=1) / (p * np.sqrt(len(norms)))
+
+
 class TestMemberLpError:
     def test_zero_at_initialization(self, scalar_rows):
         est = member_lp_error(scalar_rows[16], 0, 2)
@@ -67,8 +78,8 @@ class TestMemberLpError:
             float(
                 np.sum(
                     (
-                        run[2].enkf_ensemble.members[:, 0]
-                        - run[2].reference_ensemble.members[:, 0]
+                        run[2].enkf_ensemble[:, 0]
+                        - run[2].reference_ensemble[:, 0]
                     )
                     ** 2
                 )
@@ -76,6 +87,27 @@ class TestMemberLpError:
             for run in runs
         ]
         assert abs(est.value - np.sqrt(np.mean(sq))) <= 1e-14
+
+    @pytest.mark.parametrize("p", [300.0, 1000.0])
+    def test_large_order_matches_log_space_reference(self, scalar, scalar_kf, p):
+        # |v|^p leaves float64's range at these orders (underflow at
+        # p = 300, zero at p = 1000); the estimate must not
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16), replicates=10,
+                             p_list=(p,), metrics=(Metric.MEMBER_LP,))
+        with np.errstate(over="raise"):
+            report = run_study(config)
+        label = f"member_lp_p{int(p)}"
+        for n in config.n_grid:
+            runs = [coupled_run(model, init, 0, r, n, kf_trajectory=scalar_kf)
+                    for r in range(10)]
+            rows = replicate_scalars(runs, scalar_kf)
+            for k in range(1, 4):
+                row = report.estimate(label, k, n)
+                value, stderr = lp_log_space(rows[:, k, MEMBER_DIFF], p)
+                assert row.estimate > 0 and row.stderr > 0
+                assert row.estimate == pytest.approx(value, rel=1e-12)
+                assert row.stderr == pytest.approx(stderr, rel=1e-9)
 
     def test_needs_two_replicates(self, scalar_rows):
         with pytest.raises(ValueError, match="2 replicates"):
@@ -410,6 +442,28 @@ class TestRunStudy:
             assert "synthetic failure" in entry["error"]
         # surviving replicates still produce estimates
         assert report.estimate("member_lp_p2", 1, 4).estimate > 0
+
+    def test_diverging_chain_fails_loudly(self, diverging):
+        # Every chain at N = 4096 fails in the gain solve of its overflowed
+        # forecast covariance. At N = 4 and 64 the analysis keeps about
+        # 1e137 of the forecast's 1e153 spread, from rounding a gain of
+        # about 1, so in some replicates the covariance error's Frobenius
+        # norm overflows; those fail the one finiteness check of a state.
+        # No non-finite number reaches the estimates.
+        model, init = diverging
+        config = StudyConfig(model=model, init=init, n_grid=(4, 64, 4096), replicates=4)
+        with np.errstate(over="ignore"):
+            report = run_study(config)
+        failures = report.metadata["failures"]
+        assert failures["4096"] == [
+            {"replicate": r, "error": "ValueError: array must not contain infs or NaNs"}
+            for r in range(4)]
+        assert set(failures) <= {"4", "64", "4096"}
+        for n in ("4", "64"):
+            for entry in failures.get(n, []):
+                assert entry["error"] == "ValueError: ensemble entries must be finite"
+        assert {row.n for row in report.estimates} <= {4, 64}
+        assert np.isfinite([(row.estimate, row.stderr) for row in report.estimates]).all()
 
     def test_matches_public_estimators(self, scalar, scalar_kf):
         # the study's estimates equal the public estimators applied to the

@@ -3,7 +3,8 @@
 ``bench/spans.py`` replaces functions at the names each module of the
 program imports them under, and ``Tracer.install()`` raises AttributeError
 on a missing name, which makes every traced benchmark run exit 2. A rename
-in ``src/`` therefore has to keep those names bound.
+in ``src/`` therefore has to keep those names bound, and the study has to
+keep calling each layer through them.
 """
 
 import importlib.util
@@ -45,6 +46,13 @@ def test_traced_study_runs_and_restores_every_name(tmp_path):
     assert layers["experiment.run_study_s"] > 0
     # run_study estimates through the four public estimators the tracer wraps
     assert layers["experiment.estimate_s"] > 0
+    # Every layer of the step is still called through the name the tracer
+    # patches: inlining one (say enkf_analysis into coupled_step) would
+    # leave its calls or self time at zero.
+    for layer in ("ensemble.draw_calls", "enkf.coupled_steps", "kf.gain_calls"):
+        assert layers[layer] > 0, layer
+    for layer in ("enkf.analysis_s", "model.apply_s", "ensemble.sample_cov_s"):
+        assert layers[layer] > 0, layer
     assert patched
     for (owner, attr), original in patched.items():
         assert getattr(owner, attr) is original, attr
