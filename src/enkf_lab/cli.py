@@ -202,6 +202,9 @@ def cmd_study(
         if row.flagged:
             print(f"{row.metric} k={row.k}: explosion flag RAISED "
                   f"(max/min={row.max_over_min:.2f})")
+    for role, eps in report.metadata.get("cov_jitter", {}).items():
+        print(f"note: the {role} covariance is only semidefinite; its draws factor it "
+              f"with {eps:g} x its mean diagonal added", file=sys.stderr)
     failures = report.metadata["failures"]
     estimated = {row.n for row in report.estimates}
     for n, failed in failures.items():

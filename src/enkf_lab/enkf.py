@@ -138,14 +138,28 @@ def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
     batch = x.shape[:-2]
     # Member 1 copied to contiguous rows: a strided view rounds differently.
     member = np.ascontiguousarray(x[..., 0])
-    errors = np.full(batch + (5,), np.nan)
-    errors[..., MEMBER_DIFF] = _norms(member - state.reference_ensemble[..., 0])
-    errors[..., MEMBER_NORM] = _norms(member)
-    errors[..., MEAN_ERR] = _norms(sample_mean(x) - exact.mean)
-    errors[..., COV_ERR] = _norms((sample_cov(x) - exact.cov).reshape(batch + (-1,)))
+    rows = {
+        MEMBER_DIFF: member - state.reference_ensemble[..., 0],
+        MEMBER_NORM: member,
+        MEAN_ERR: sample_mean(x) - exact.mean,
+        COV_ERR: (sample_cov(x) - exact.cov).reshape(batch + (-1,)),
+    }
     if state.ensemble_gain is not None:
         gain_diff = state.ensemble_gain - state.exact_gain
-        errors[..., GAIN_ERR] = _norms(gain_diff.reshape(batch + (-1,)))
+        rows[GAIN_ERR] = gain_diff.reshape(batch + (-1,))
+    errors = np.full(batch + (5,), np.nan)
+    with np.errstate(over="ignore"):
+        for column, values in rows.items():
+            errors[..., column] = _norms(values)
+        # The squares of finite entries beyond about 1e154 overflow: those
+        # rows alone are taken again, scaled by their largest |entry|, and
+        # every other norm keeps its bits.
+        if np.isinf(errors).any():
+            for column, values in rows.items():
+                norms = errors[..., column]
+                over = np.isinf(norms) & np.isfinite(values).all(axis=-1)
+                top = np.abs(values[over]).max(axis=-1)
+                norms[over] = top * _norms(values[over] / top[:, None])
     return errors
 
 
@@ -156,12 +170,13 @@ def chunk_errors(
     """A chunk of study replicates of the coupled construction at every N of
     ``n_grid``, as one stack of chains per N.
 
-    Steps are the outer loop and N the inner one. Each step draws once per
-    replicate, at the largest N; by the prefix property the first n columns
-    are the size-n draw, so every chain is bit-identical to ``coupled_run``
-    of its replicate at that n. Each stacked state is reduced at once to the
-    five scalars of the column constants above, so one stacked state per N
-    and one step's draws are alive at a time.
+    Steps are the outer loop and N the inner one. Each step makes one draw
+    call for the chunk, at the largest N; by the prefix property the first n
+    columns of each replicate's slice are its size-n draw, so every chain is
+    bit-identical to ``coupled_run`` of its replicate at that n. Each stacked
+    state is reduced at once to the five scalars of the column constants
+    above, so one stacked state per N and one step's draws are alive at a
+    time.
 
     Returns the scalars, shape (len(replicates), len(n_grid), steps + 1, 5),
     NaN where there is none (the gain at step 0, a failed chain), and a map
@@ -185,18 +200,15 @@ def chunk_errors(
         running = [j for j, n in enumerate(n_grid) if n not in failed]
         if not running or failed and stacked:
             break
-        try:
+        try:  # one (B, m, n_max) draw for the whole chunk
             if k == 0:
-                draws = [init_ensemble(seed, r, n_max, init) for r in replicates]
+                draws = init_ensemble(seed, replicates, n_max, init)
             else:
                 step = model.step(k)
-                draws = [perturb_data(seed, r, k, n_max, step.data, step.R)
-                         for r in replicates]
+                draws = perturb_data(seed, replicates, k, n_max, step.data, step.R)
         except Exception as exc:  # reported per (replicate, N) by run_study
             failed.update((n_grid[j], f"{type(exc).__name__}: {exc}") for j in running)
             break
-        # One draw is stacked as a view, so the largest-N data are not copied.
-        draws = np.stack(draws) if stacked else draws[0][None]
         exact = kf_trajectory.analysis(k)
         for j in running:
             n = n_grid[j]

@@ -14,6 +14,15 @@ et al., SC'11). Member i of an m-dimensional draw owns raw words
 normals by Box-Muller. Draws therefore do not depend on evaluation order or
 ensemble size: the first N members of a larger ensemble are bit-identical to
 the members of the size-N ensemble.
+
+A draw call takes one replicate or a sequence of them; the study kernel
+makes one call per chunk of replicates and step. Each replicate keys its own
+stream, and the whole chunk then goes through one Box-Muller transform and
+one accumulation of mean + G z, with G the lower-triangular Cholesky factor.
+The accumulation adds column k of G into rows k and below only: a skipped
+term is +-0.0, which could only flip the sign of a -0.0 sum, so a mean with
+a -0.0 entry is accumulated over every row. A sequence of replicates thus
+gives, slice by slice, the bits of one call per replicate.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -89,19 +99,24 @@ def sample_cov(x: np.ndarray) -> np.ndarray:
     return 0.5 * (cov + cov.mT)
 
 
-def _cov_factor(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular G with G G^T = cov (jittered if only semidefinite)."""
+def _cov_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower-triangular G with G G^T = cov, and the jitter eps it took.
+
+    A semidefinite cov is factored as cov + eps * mean(diag(cov)) * I with
+    the first eps of _JITTER_SCALES that works; eps is 0.0 when none was
+    needed.
+    """
     if not cov.any():
-        return np.zeros_like(cov)
+        return np.zeros_like(cov), 0.0
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov), 0.0
     except np.linalg.LinAlgError:
         pass
     base = np.trace(cov) / cov.shape[0]
     eye = np.eye(cov.shape[0])
     for eps in _JITTER_SCALES:
         try:
-            return np.linalg.cholesky(cov + (eps * base) * eye)
+            return np.linalg.cholesky(cov + (eps * base) * eye), eps
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
@@ -110,47 +125,82 @@ def _cov_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _draw_ensemble(
-    seed: int, replicate: int, step: int, role: Role, n: int,
+    seed: int, replicates: int | Sequence[int], step: int, role: Role, n: int,
     mean: np.ndarray, cov: np.ndarray,
 ) -> np.ndarray:
     if n < 2:
         raise ValueError(f"ensemble size must be at least 2, got {n}")
+    single = isinstance(replicates, (int, np.integer))
+    replicates = (replicates,) if single else tuple(replicates)
     mean = np.asarray(mean, dtype=np.float64)
-    factor = _cov_factor(np.asarray(cov, dtype=np.float64))
+    factor, _ = _cov_factor(np.asarray(cov, dtype=np.float64))
     dim = mean.shape[0]
-    # Member i owns raw words [i*width, (i+1)*width); Box-Muller takes pairs.
+    # Member i owns raw words [i*width, (i+1)*width) of its replicate's
+    # stream; Box-Muller takes pairs. Large temporaries are reused in place,
+    # because every fresh one costs page faults; that moves no bit. The
+    # result is allocated first, so that the temporaries freed after it
+    # leave no hole below it in the heap (peak memory).
     width = dim + (dim & 1)
-    bit_gen = np.random.Philox(key=DrawKey(seed, replicate, step, role).philox_key())
-    words = bit_gen.random_raw(n * width).reshape(n, width // 2, 2)
-    # 53-bit uniforms in (0, 1], so the logarithm stays finite.
-    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u[..., 0]))
-    angle = (2.0 * np.pi) * u[..., 1]
-    z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1).reshape(n, width)
+    batch = len(replicates)
+    members = np.empty((batch, dim, n))
+    members[:] = mean[:, None]
+    u = np.empty((batch, n * width))
+    for b, replicate in enumerate(replicates):
+        key = DrawKey(seed, replicate, step, role).philox_key()
+        words = np.random.Philox(key=key).random_raw(n * width)
+        # 53-bit uniforms in (0, 1], so the logarithm stays finite.
+        words >>= np.uint64(11)
+        words += np.uint64(1)
+        np.multiply(words, 2.0**-53, out=u[b])
+    u = u.reshape(batch, n, width // 2, 2)
+    radius, angle = u[..., 0], u[..., 1]
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    # zt[b, k] holds normal k of every member of replicate b, contiguous:
+    # strided rows halve the accumulate's speed.
+    zt = np.empty((batch, width, n))
+    even, odd = zt[:, 0::2].mT, zt[:, 1::2].mT
+    np.cos(angle, out=even)
+    even *= radius
+    np.sin(angle, out=angle)
+    np.multiply(radius, angle, out=odd)
     # mean + G z, accumulated elementwise over k in a fixed order: a BLAS
     # product would round differently depending on n (prefix property).
-    members = np.repeat(mean[:, None], n, axis=1)
+    # G is lower triangular, so column k adds into rows k and below only.
+    # A skipped term is +-0.0, which changes no bit unless the partial sum
+    # is -0.0; that needs a -0.0 mean entry, and then every row is added.
+    buf = u.reshape(-1)[:members.size].reshape(members.shape)  # u is spent
+    full_rows = bool(np.signbit(mean[mean == 0.0]).any())
     for k in range(dim):
-        members += np.multiply.outer(factor[:, k], z[:, k])
-    return members
+        lo = 0 if full_rows else k
+        np.multiply(factor[lo:, k, None], zt[:, k, None, :], out=buf[:, lo:])
+        members[:, lo:] += buf[:, lo:]
+    return members[0] if single else members
 
 
-def init_ensemble(seed: int, replicate: int, n: int, init: GaussianState) -> np.ndarray:
+def init_ensemble(
+    seed: int, replicate: int | Sequence[int], n: int, init: GaussianState
+) -> np.ndarray:
     """Draw the initial ensemble: column i ~ N(u0, Q0) on its INIT stream.
 
-    The first N columns for any larger size N' > N are bit-identical to the
-    size-N ensemble.
+    An int replicate gives one m x n ensemble, a sequence of B replicates a
+    (B, m, n) stack whose slice b is bit-identical to the draw of
+    ``replicate[b]`` alone. The first N columns for any larger size N' > N
+    are bit-identical to the size-N ensemble.
     """
     return _draw_ensemble(seed, replicate, 0, Role.INIT, n, init.mean, init.cov)
 
 
 def perturb_data(
-    seed: int, replicate: int, k: int, n: int, data: np.ndarray, r_cov: np.ndarray
+    seed: int, replicate: int | Sequence[int], k: int, n: int, data: np.ndarray,
+    r_cov: np.ndarray,
 ) -> np.ndarray:
     """Draw the step-k perturbed-data ensemble: column i ~ N(d, R).
 
-    Streams are separated from the initial-ensemble streams by role, and the
-    same prefix property applies.
+    Streams are separated from the initial-ensemble streams by role; the
+    replicate argument and the prefix property work as in ``init_ensemble``.
     """
     if k < 1:
         raise ValueError(f"data perturbations exist only for steps k >= 1, got {k}")

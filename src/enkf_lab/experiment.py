@@ -31,7 +31,7 @@ import numpy as np
 from .enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
 # coupled_run and sample_cov are not called here; bench/spans.py wraps them.
 from .enkf import chunk_errors, coupled_run
-from .ensemble import DRAW_SCHEME, sample_cov
+from .ensemble import DRAW_SCHEME, _cov_factor, sample_cov
 from .jsonio import canonical_json, format_float, write_canonical_json
 from .kf import kf_run
 from .model import GaussianState, LinearModel, model_to_dict
@@ -143,31 +143,41 @@ def _at_step(scalars, k: int, column: int) -> np.ndarray:
     return scalars[:, k, column]
 
 
+# Natural logs of the bounds of float64's normal range.
+_LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+
+def _scale(values: np.ndarray, p: float) -> float:
+    # max|v| where the squares of |v|^p (their sum, at the upper end) would
+    # leave float64's normal range, else 1.0. That is decided in log space,
+    # before any power is taken, so an errstate of over="raise" cannot fire;
+    # dividing and multiplying by 1.0 moves no bit.
+    top = float(np.abs(values).max())
+    if 0.0 < top < math.inf and not (
+            _LOG_TINY <= 2.0 * p * math.log(top) <= _LOG_MAX - math.log(len(values))):
+        return top
+    return 1.0
+
+
 def _mean_estimate(values: np.ndarray) -> Estimate:
-    value = float(values.mean())
+    # Taken of v / scale and scaled back, so that the squared deviations of
+    # the standard error stay finite for values beyond about 1e154.
+    scale = _scale(values, 1.0)
+    values = values / scale
+    value = scale * float(values.mean())
     if len(values) < 2:
         stderr = float("nan")
     else:
-        stderr = float(values.std(ddof=1)) / np.sqrt(len(values))
+        stderr = scale * float(values.std(ddof=1)) / np.sqrt(len(values))
     return Estimate(value=value, stderr=stderr)
-
-
-# Natural logs of the bounds of float64's normal range.
-_LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 def _lp_estimate(norms: np.ndarray, p: float) -> Estimate:
     # Estimates (E |v|^p)^(1/p) by the replicate average of |v|^p; the
     # standard error maps through the 1/p power by the delta method. Where
-    # the squares of the p-th powers (their sum, at the upper end) would
-    # leave float64's normal range, the estimate is taken of v / max|v| and
-    # scaled back by max|v|. That is decided in log space, before any power
-    # is taken, so an errstate of over="raise" cannot fire; every other
-    # input keeps the direct form and its bits.
-    top = float(norms.max())
-    scale = 1.0
-    if top > 0.0 and not _LOG_TINY <= 2.0 * p * math.log(top) <= _LOG_MAX - math.log(len(norms)):
-        scale = top
+    # the powers would leave float64's range, the estimate is taken of
+    # v / max|v| and scaled back by max|v|.
+    scale = _scale(norms, p)
     power = _mean_estimate((norms / scale) ** p)
     value = scale * power.value ** (1.0 / p)
     if power.value == 0.0:  # all norms zero: stderr 0 (NaN for one replicate)
@@ -457,6 +467,11 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
             "wall_time_s": time.perf_counter() - started,
         },
     }
+    # validate_model factors every R as the draws do, so only the initial
+    # covariance can need jitter; reports without it keep their bytes.
+    _, jitter = _cov_factor(config.init.cov)
+    if jitter > 0.0:
+        metadata["cov_jitter"] = {"init": jitter}
     return ConvergenceReport(
         metadata=metadata, estimates=estimates, rates=rates, moment_flags=moment_flags
     )

@@ -44,6 +44,15 @@ def diverging():
     return model, GaussianState(mean=[0.0], cov=[[1.0]])
 
 
+@pytest.fixture(scope="session")
+def singular_prior():
+    """Two states, one observed, with the semidefinite prior diag(1, 0): the
+    initial draws factor it with jitter."""
+    step = StepSpec(A=np.eye(2), b=[0.0, 0.0], H=[[1.0, 0.0]], R=[[1.0]], data=[0.5])
+    model = LinearModel(steps=(step,), state_dim=2, obs_dim=1)
+    return model, GaussianState(mean=[0.0, 1.0], cov=np.diag([1.0, 0.0]))
+
+
 def random_spd(rng, dim, scale=1.0):
     g = rng.standard_normal((dim, dim))
     return scale * (g @ g.T) + 0.1 * scale * np.eye(dim)
@@ -57,9 +66,10 @@ def fail_chains(monkeypatch):
     of size-n chains that holds one of those replicates, so when the kernel
     runs the chunk again one replicate at a time, exactly those fail at n;
     the other sizes run on. A chain is known by its data: member 1 of every
-    perturbed-data draw of the armed replicates is recorded, and a stack
-    whose data ensemble starts a row with one of them holds an armed chain.
-    In-process runs only (workers=1).
+    perturbed-data draw of the armed replicates is recorded (a draw may serve
+    one replicate or a sequence of them), and a stack whose data ensemble
+    starts a row with one of them holds an armed chain. In-process runs only
+    (workers=1).
     """
     import enkf_lab.enkf as enkf
 
@@ -70,8 +80,10 @@ def fail_chains(monkeypatch):
 
         def perturb_data(seed, replicate, k, size, data, r_cov):
             drawn = real_draw(seed, replicate, k, size, data, r_cov)
-            if replicate in replicates:
-                armed.add(drawn[:, 0].tobytes())
+            slices = drawn[None] if np.ndim(replicate) == 0 else drawn
+            for r, ensemble in zip(np.atleast_1d(replicate), slices):
+                if r in replicates:
+                    armed.add(ensemble[:, 0].tobytes())
             return drawn
 
         def coupled_step(state, model, data_ensemble, *args, **kwargs):

@@ -66,6 +66,29 @@ def conjugate_scalar_chain(model, init):
     return out
 
 
+def gaussian_draw_full_rows(philox_key, n, mean, factor):
+    """Draw scheme 2 with the accumulate over every row: member i is
+    Box-Muller on raw words [i*w, (i+1)*w) of the keyed Philox stream
+    (w = m rounded up to even), and mean + G z is summed one Python float
+    at a time, over k in order and over the full rows of G, zeros above the
+    diagonal included. Returns an m x n array."""
+    m = len(mean)
+    width = m + (m & 1)
+    words = np.random.Philox(key=philox_key).random_raw(n * width)
+    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = (2.0 * np.pi) * u[1::2]
+    z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1).reshape(n, width)
+    out = np.empty((m, n))
+    for j in range(n):
+        for i in range(m):
+            acc = float(mean[i])
+            for k in range(m):
+                acc += float(factor[i][k]) * float(z[j][k])
+            out[i][j] = acc
+    return out
+
+
 def affine_columns_loop(A, b, X):
     """Element-wise triple loop computing A @ X + b per column."""
     m, n = A.shape[0], X.shape[1]

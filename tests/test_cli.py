@@ -121,6 +121,21 @@ class TestStudyCommand:
         member_rows = [l for l in lines if l.startswith("member_lp_p2,1,")]
         assert [int(l.split(",")[2]) for l in member_rows] == [4, 8, 16]
 
+    def test_cov_jitter_noted(self, singular_prior, scalar_model_file, study_file,
+                              tmp_path, capsys):
+        model = tmp_path / "singular.json"
+        model.write_text(json.dumps(model_to_dict(*singular_prior)))
+        out = tmp_path / "out"
+        assert main(["study", str(model), str(study_file), "-o", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["metadata"]["cov_jitter"] == {"init": 1e-14}
+        err = capsys.readouterr().err
+        assert "note: the init covariance is only semidefinite" in err
+        assert "1e-14" in err
+        assert main(["study", str(scalar_model_file), str(study_file),
+                     "-o", str(tmp_path / "plain")]) == 0
+        assert "note:" not in capsys.readouterr().err
+
     def test_format_selection(self, scalar_model_file, study_file, tmp_path):
         out = tmp_path / "json_only"
         main(["study", str(scalar_model_file), str(study_file), "-o", str(out),

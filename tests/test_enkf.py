@@ -328,7 +328,7 @@ class TestReplicateErrors:
         real = enkf.perturb_data
 
         def broken(seed, replicate, k, n, data, r_cov):
-            if replicate == 0:
+            if 0 in np.atleast_1d(replicate):
                 raise RuntimeError(f"no draw at step {k}")
             return real(seed, replicate, k, n, data, r_cov)
 
@@ -349,7 +349,7 @@ class TestReplicateErrors:
         armed = enkf.perturb_data
 
         def broken(seed, replicate, k, n, data, r_cov):
-            if replicate == 0 and k == 2:
+            if 0 in np.atleast_1d(replicate) and k == 2:
                 raise RuntimeError(f"no draw at step {k}")
             return armed(seed, replicate, k, n, data, r_cov)
 

@@ -17,9 +17,12 @@ from enkf_lab import (
     sample_mean,
     write_ensemble,
 )
+from enkf_lab.ensemble import _cov_factor
 from enkf_lab.experiment import run_study
 from enkf_lab.jsonio import canonical_json
-from enkf_lab.reference import scalar_model
+from enkf_lab.reference import reference_model, scalar_model
+
+from oracles import gaussian_draw_full_rows
 
 
 class TestEnsembleType:
@@ -299,6 +302,71 @@ class TestPrefixPropertyRandomSizes:
         small = perturb_data(seed, replicate, k, n, d, r)
         big = perturb_data(seed, replicate, k, big_n, d, r)
         assert np.array_equal(big[:, :n], small)
+
+
+class TestBatchedDraw:
+    """A sequence of replicates is drawn in one call: slice b is the int
+    draw of replicate b, byte for byte (-0.0 and +0.0 differ in bytes)."""
+
+    batches = dict(
+        m=st.integers(1, 7),
+        n=st.integers(2, 40),
+        replicates=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+        seed=st.integers(0, 2**63 - 1),
+        zeros=st.lists(st.sampled_from([0.0, -0.0, None]), min_size=7, max_size=7),
+    )
+
+    @staticmethod
+    def gaussian(seed, m, zeros):
+        # random mean with some entries set to +0.0 or -0.0
+        mean, cov = _random_gaussian(seed, m)
+        for i, zero in enumerate(zeros[:m]):
+            if zero is not None:
+                mean[i] = zero
+        return mean, cov
+
+    @settings(max_examples=60, deadline=None)
+    @given(**batches)
+    @example(m=3, n=5, replicates=[4, 0, 4], seed=1, zeros=[-0.0] * 7)
+    @example(m=4, n=2, replicates=[7], seed=2, zeros=[None] * 7)
+    def test_init_ensemble(self, m, n, replicates, seed, zeros):
+        init = GaussianState(*self.gaussian(seed, m, zeros))
+        batched = init_ensemble(seed, replicates, n, init)
+        stacked = np.stack([init_ensemble(seed, r, n, init) for r in replicates])
+        assert batched.shape == (len(replicates), m, n)
+        assert batched.tobytes() == stacked.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**batches, k=st.integers(1, 50))
+    def test_perturb_data(self, m, n, replicates, seed, zeros, k):
+        d, r_cov = self.gaussian(seed, m, zeros)
+        batched = perturb_data(seed, replicates, k, n, d, r_cov)
+        stacked = np.stack([perturb_data(seed, r, k, n, d, r_cov) for r in replicates])
+        assert batched.shape == (len(replicates), m, n)
+        assert batched.tobytes() == stacked.tobytes()
+
+
+class TestTriangularAccumulate:
+    """mean + G z over the lower triangle of G gives the bytes of the sum
+    over every row, kept in oracles.gaussian_draw_full_rows."""
+
+    @pytest.mark.parametrize("mean, cov", [
+        ([-0.0, 1.0, -0.0], np.zeros((3, 3))),
+        ([0.0, -0.0, 2.0], np.zeros((3, 3))),
+        ([-0.0, -0.0], np.diag([1.0, 0.0])),
+        ([0.0, -0.0], np.diag([1.0, 0.0])),
+        ([0.0, 0.0], np.diag([1.0, 0.0])),
+        (reference_model()[1].mean, reference_model()[1].cov),
+    ], ids=["zero-cov-neg-zero", "zero-cov-mixed-zeros", "singular-neg-zeros",
+            "singular-mixed-zeros", "singular-pos-zeros", "reference"])
+    def test_matches_full_rows(self, mean, cov):
+        init = GaussianState(mean, cov)
+        factor, _ = _cov_factor(init.cov)
+        for replicate in range(4):
+            drawn = init_ensemble(11, replicate, 16, init)
+            key = DrawKey(11, replicate, 0, Role.INIT).philox_key()
+            expected = gaussian_draw_full_rows(key, 16, init.mean, factor)
+            assert drawn.tobytes() == expected.tobytes()
 
 
 RAW_WORDS_DIGEST = "6b5647362e92995e2e6b43d610dd5c5854e52a8081172cb82e020438237060da"

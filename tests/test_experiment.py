@@ -409,7 +409,7 @@ class TestRunStudy:
         armed = enkf.perturb_data
 
         def broken(seed, replicate, k, n, data, r_cov):
-            if replicate == 4 and k == 2:
+            if 4 in np.atleast_1d(replicate) and k == 2:
                 raise RuntimeError("no draw")
             return armed(seed, replicate, k, n, data, r_cov)
 
@@ -427,7 +427,7 @@ class TestRunStudy:
         real = enkf.perturb_data
 
         def flaky(seed, replicate, k, n, data, r_cov):
-            if replicate == 1:
+            if 1 in np.atleast_1d(replicate):
                 raise RuntimeError("synthetic failure")
             return real(seed, replicate, k, n, data, r_cov)
 
@@ -447,8 +447,8 @@ class TestRunStudy:
         # Every chain at N = 4096 fails in the gain solve of its overflowed
         # forecast covariance. At N = 4 and 64 the analysis keeps about
         # 1e137 of the forecast's 1e153 spread, from rounding a gain of
-        # about 1, so in some replicates the covariance error's Frobenius
-        # norm overflows; those fail the one finiteness check of a state.
+        # about 1; the covariance error's Frobenius norm (about 1e274) is
+        # finite, so those chains run on and count in the estimates.
         # No non-finite number reaches the estimates.
         model, init = diverging
         config = StudyConfig(model=model, init=init, n_grid=(4, 64, 4096), replicates=4)
@@ -458,12 +458,22 @@ class TestRunStudy:
         assert failures["4096"] == [
             {"replicate": r, "error": "ValueError: array must not contain infs or NaNs"}
             for r in range(4)]
-        assert set(failures) <= {"4", "64", "4096"}
-        for n in ("4", "64"):
-            for entry in failures.get(n, []):
-                assert entry["error"] == "ValueError: ensemble entries must be finite"
-        assert {row.n for row in report.estimates} <= {4, 64}
+        assert set(failures) == {"4096"}
+        assert {row.n for row in report.estimates} == {4, 64}
         assert np.isfinite([(row.estimate, row.stderr) for row in report.estimates]).all()
+        for n in (4, 64):
+            cov_err = report.estimate("cov_err", 1, n)
+            assert np.isfinite(cov_err.estimate) and cov_err.estimate > 0.0
+
+    def test_cov_jitter_recorded(self, singular_prior, reference):
+        # only a prior that needs jitter adds the key, so every other report
+        # keeps its bytes
+        model, init = singular_prior
+        config = StudyConfig(model=model, init=init, n_grid=(4, 8), replicates=2)
+        assert run_study(config).metadata["cov_jitter"] == {"init": 1e-14}
+        model, init = reference
+        config = StudyConfig(model=model, init=init, n_grid=(4, 8), replicates=2)
+        assert "cov_jitter" not in run_study(config).metadata
 
     def test_matches_public_estimators(self, scalar, scalar_kf):
         # the study's estimates equal the public estimators applied to the
