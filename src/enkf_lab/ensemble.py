@@ -7,22 +7,25 @@ ensembles enter the program (the draws and ``read_ensemble``): the 1/N
 sample covariance is identically zero there and the size asymptotics are
 meaningless.
 
-Draw scheme 2, recorded in study reports as draw_scheme: each draw call is
+Draw scheme 3, recorded in study reports as draw_scheme: each draw call is
 keyed by (seed, replicate, step, role), hashed once into a Philox key (Salmon
-et al., SC'11). Member i of an m-dimensional draw owns raw words
-[i*w, (i+1)*w) of that stream, w = m rounded up to even, turned into standard
-normals by Box-Muller. Draws therefore do not depend on evaluation order or
-ensemble size: the first N members of a larger ensemble are bit-identical to
-the members of the size-N ensemble.
+et al., SC'11). NumPy's ziggurat (Marsaglia & Tsang, 2000), through
+Generator.standard_normal, fills the normals from that stream member by
+member: member i of an m-dimensional draw is normals [i*m, (i+1)*m). Draws
+therefore do not depend on evaluation order or ensemble size: the first N
+members of a larger ensemble are bit-identical to the members of the size-N
+ensemble. NEP 19 keeps raw Philox words stable across NumPy versions but not
+the normals standard_normal makes of them; the golden report digest of the
+tests catches such a change, which then needs a new DRAW_SCHEME.
 
 A draw call takes one replicate or a sequence of them; the study kernel
 makes one call per chunk of replicates and step. Each replicate keys its own
-stream, and the whole chunk then goes through one Box-Muller transform and
-one accumulation of mean + G z, with G the lower-triangular Cholesky factor.
-The accumulation adds column k of G into rows k and below only: a skipped
-term is +-0.0, which could only flip the sign of a -0.0 sum, so a mean with
-a -0.0 entry is accumulated over every row. A sequence of replicates thus
-gives, slice by slice, the bits of one call per replicate.
+stream, and the whole chunk then goes through one accumulation of mean + G z,
+with G the lower-triangular Cholesky factor. The accumulation adds column k
+of G into rows k and below only: a skipped term is +-0.0, which could only
+flip the sign of a -0.0 sum, so a mean with a -0.0 entry is accumulated over
+every row. A sequence of replicates thus gives, slice by slice, the bits of
+one call per replicate.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ _KEY_STRUCT = struct.Struct("<Qqqq")
 _HEADER_STRUCT = struct.Struct("<qq")
 
 # Recorded in study reports and config hashes; bump whenever the bits change.
-DRAW_SCHEME = 2
+DRAW_SCHEME = 3
 
 # Jitter scales tried (relative to mean diagonal) when factoring a
 # semidefinite covariance; PSD inputs such as a singular prior are legal.
@@ -135,43 +138,35 @@ def _draw_ensemble(
     mean = np.asarray(mean, dtype=np.float64)
     factor, _ = _cov_factor(np.asarray(cov, dtype=np.float64))
     dim = mean.shape[0]
-    # Member i owns raw words [i*width, (i+1)*width) of its replicate's
-    # stream; Box-Muller takes pairs. Large temporaries are reused in place,
-    # because every fresh one costs page faults; that moves no bit. The
-    # result is allocated first, so that the temporaries freed after it
-    # leave no hole below it in the heap (peak memory).
-    width = dim + (dim & 1)
+    # Large temporaries are reused in place, because every fresh one costs
+    # page faults; that moves no bit. The result is allocated first, so that
+    # the temporaries freed after it leave no hole below it in the heap (peak
+    # memory).
     batch = len(replicates)
     members = np.empty((batch, dim, n))
     members[:] = mean[:, None]
-    u = np.empty((batch, n * width))
+    # Member i takes normals [i*dim, (i+1)*dim) of its replicate's stream,
+    # which the ziggurat fills member by member (prefix property). A fresh
+    # Philox state has a zero counter and an empty buffer, as Philox(key=...)
+    # has; setting only its key re-keys one generator per replicate, without
+    # the OS entropy Philox(key=...) gathers for a seed it never uses.
+    bits = np.random.Philox(0)
+    normals = np.random.Generator(bits)
+    state = bits.state
+    z = np.empty((batch, n, dim))
     for b, replicate in enumerate(replicates):
-        key = DrawKey(seed, replicate, step, role).philox_key()
-        words = np.random.Philox(key=key).random_raw(n * width)
-        # 53-bit uniforms in (0, 1], so the logarithm stays finite.
-        words >>= np.uint64(11)
-        words += np.uint64(1)
-        np.multiply(words, 2.0**-53, out=u[b])
-    u = u.reshape(batch, n, width // 2, 2)
-    radius, angle = u[..., 0], u[..., 1]
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle *= 2.0 * np.pi
+        state["state"]["key"] = DrawKey(seed, replicate, step, role).philox_key()
+        bits.state = state
+        normals.standard_normal(out=z[b])
     # zt[b, k] holds normal k of every member of replicate b, contiguous:
     # strided rows halve the accumulate's speed.
-    zt = np.empty((batch, width, n))
-    even, odd = zt[:, 0::2].mT, zt[:, 1::2].mT
-    np.cos(angle, out=even)
-    even *= radius
-    np.sin(angle, out=angle)
-    np.multiply(radius, angle, out=odd)
+    zt = np.ascontiguousarray(z.mT)
     # mean + G z, accumulated elementwise over k in a fixed order: a BLAS
     # product would round differently depending on n (prefix property).
     # G is lower triangular, so column k adds into rows k and below only.
     # A skipped term is +-0.0, which changes no bit unless the partial sum
     # is -0.0; that needs a -0.0 mean entry, and then every row is added.
-    buf = u.reshape(-1)[:members.size].reshape(members.shape)  # u is spent
+    buf = z.reshape(members.shape)  # z is spent
     full_rows = bool(np.signbit(mean[mean == 0.0]).any())
     for k in range(dim):
         lo = 0 if full_rows else k

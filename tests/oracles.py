@@ -67,18 +67,14 @@ def conjugate_scalar_chain(model, init):
 
 
 def gaussian_draw_full_rows(philox_key, n, mean, factor):
-    """Draw scheme 2 with the accumulate over every row: member i is
-    Box-Muller on raw words [i*w, (i+1)*w) of the keyed Philox stream
-    (w = m rounded up to even), and mean + G z is summed one Python float
-    at a time, over k in order and over the full rows of G, zeros above the
-    diagonal included. Returns an m x n array."""
+    """Draw scheme 3 with the accumulate over every row: member i is normals
+    [i*m, (i+1)*m) of ``standard_normal`` on a fresh Generator over the keyed
+    Philox stream, and mean + G z is summed one Python float at a time, over
+    k in order and over the full rows of G, zeros above the diagonal
+    included. Returns an m x n array."""
     m = len(mean)
-    width = m + (m & 1)
-    words = np.random.Philox(key=philox_key).random_raw(n * width)
-    u = ((words >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u[0::2]))
-    angle = (2.0 * np.pi) * u[1::2]
-    z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1).reshape(n, width)
+    bits = np.random.Philox(key=philox_key)
+    z = np.random.Generator(bits).standard_normal((n, m))
     out = np.empty((m, n))
     for j in range(n):
         for i in range(m):

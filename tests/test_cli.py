@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import tempfile
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from enkf_lab import model_to_dict, read_ensemble
+from enkf_lab import cli, model_to_dict, read_ensemble
 from enkf_lab.cli import main
 from enkf_lab.reference import scalar_model
 
@@ -135,6 +136,32 @@ class TestStudyCommand:
         assert main(["study", str(scalar_model_file), str(study_file),
                      "-o", str(tmp_path / "plain")]) == 0
         assert "note:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["libc", "mallopt"])
+    def test_same_report_without_mallopt(self, missing, scalar_model_file, study_file,
+                                         tmp_path, monkeypatch):
+        def report(out):
+            args = ["study", str(scalar_model_file), str(study_file), "-o", str(out)]
+            assert main(args) == 0
+            payload = json.loads((out / "report.json").read_text())
+            del payload["metadata"]["timestamp"]
+            return payload
+
+        tuned = report(tmp_path / "tuned")
+        lookups = []
+
+        def no_mallopt(name):
+            lookups.append(name)
+            if missing == "libc":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_mallopt)
+        # A fresh run-once wrapper, so that this process looks mallopt up again.
+        monkeypatch.setattr(cli, "_keep_freed_memory",
+                            functools.cache(cli._keep_freed_memory.__wrapped__))
+        assert report(tmp_path / "untuned") == tuned
+        assert lookups == [None]
 
     def test_format_selection(self, scalar_model_file, study_file, tmp_path):
         out = tmp_path / "json_only"
