@@ -14,9 +14,7 @@ Seed precedence: --seed flag > study file > ENKF_LAB_SEED env var > 0.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
-import functools
 import json
 import os
 import sys
@@ -160,29 +158,6 @@ def _dump_trajectories(out: Path, config: StudyConfig) -> None:
         write_canonical_json(n_dir / "index.json", index)
 
 
-@functools.cache
-def _keep_freed_memory() -> None:
-    """Let glibc's malloc keep freed memory of this process for reuse.
-
-    A study frees and allocates large arrays at every step. By default
-    glibc maps the largest afresh each time and gives the top of the heap
-    back to the kernel, so every new page faults in again. Raising both
-    thresholds keeps those pages in the heap. Where the C library has no
-    mallopt, nothing changes. Runs once per process; a forked pool worker
-    inherits the setting.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    # malloc.h: M_MMAP_THRESHOLD is -3 (32 MiB is glibc's ceiling for its
-    # own dynamic threshold), M_TRIM_THRESHOLD is -1.
-    mallopt(-3, 32 << 20)
-    mallopt(-1, 64 << 20)
-
-
 def cmd_study(
     model_path: str,
     study_path: str,
@@ -203,7 +178,6 @@ def cmd_study(
         raise StudyFormatError("study file must contain a JSON object")
     config = _build_study_config(raw, model, init, seed)
 
-    _keep_freed_memory()
     report = run_study(config, workers=workers)
 
     out = Path(out_dir)

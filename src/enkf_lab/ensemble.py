@@ -38,6 +38,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+# Imported with the module: numpy loads numpy.random lazily, and otherwise
+# every pool worker, forked anew for each study, would import it again.
+from numpy.random import Generator, Philox
 
 from .model import GaussianState
 
@@ -150,8 +153,8 @@ def _draw_ensemble(
     # Philox state has a zero counter and an empty buffer, as Philox(key=...)
     # has; setting only its key re-keys one generator per replicate, without
     # the OS entropy Philox(key=...) gathers for a seed it never uses.
-    bits = np.random.Philox(0)
-    normals = np.random.Generator(bits)
+    bits = Philox(0)
+    normals = Generator(bits)
     state = bits.state
     z = np.empty((batch, n, dim))
     for b, replicate in enumerate(replicates):

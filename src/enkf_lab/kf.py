@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
 
 from .model import GaussianState, LinearModel, validate_model
 
@@ -43,20 +42,20 @@ def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarra
     hq = H @ forecast_cov
     innovation_cov = hq @ H.T + R
     innovation_cov = 0.5 * (innovation_cov + innovation_cov.mT)
-    if not np.all(np.isfinite(innovation_cov)):  # cho_factor's check and message
+    # Reports record this message in metadata.failures, so it stays as it was.
+    if not np.all(np.isfinite(innovation_cov)):
         raise ValueError("array must not contain infs or NaNs")
-    gain = np.empty(hq.shape[:-2] + (hq.shape[-1], hq.shape[-2]))
-    # LAPACK's potrf/potrs, the routines scipy.linalg.cho_factor/cho_solve
-    # call, once per slice: scipy's own loop over a stack costs more than
-    # the factorizations of these small systems.
-    for index in np.ndindex(hq.shape[:-2]):
-        factor, info = _potrf(innovation_cov[index], lower=1, clean=0)
-        if info > 0:
-            raise np.linalg.LinAlgError(
-                "innovation covariance is not positive definite: "
-                f"{info}-th leading minor of the array is not positive definite"
-            )
-        gain[index] = _potrs(factor, hq[index], lower=1)[0].T
+    # The factorization is also the check of positive definiteness. The solve
+    # goes through the factor, not S: for d = 1 that is two divisions by
+    # sqrt(S), and a single solve through S rounds the scalar gain of a
+    # diverging chain to exactly 1. The gain is returned C-contiguous, so a
+    # stack's later products round as a single chain's do.
+    try:
+        factor = np.linalg.cholesky(innovation_cov)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("innovation covariance is not positive definite") from exc
+    gain = np.linalg.solve(factor.mT, np.linalg.solve(factor, hq))
+    gain = np.ascontiguousarray(gain.mT)
     if not np.all(np.isfinite(gain)):
         raise np.linalg.LinAlgError("Kalman gain has non-finite entries")
     return gain

@@ -1,6 +1,8 @@
 import functools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from enkf_lab import cli, model_to_dict, read_ensemble
+import enkf_lab
+from enkf_lab import experiment, model_to_dict, read_ensemble
 from enkf_lab.cli import main
 from enkf_lab.reference import scalar_model
 
@@ -103,6 +106,34 @@ class TestKfCommand:
         assert main(["kf", str(path), "-o", str(tmp_path / "out")]) == 1
 
 
+# Blocks every import of scipy, then runs kf and study as the command line does.
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from enkf_lab.cli import main
+model, study, out = sys.argv[1:]
+assert main(["kf", model, "-o", out + "/kf"]) == 0
+assert main(["study", model, study, "-o", out + "/study"]) == 0
+loaded = [name for name, module in sys.modules.items()
+          if name.startswith("scipy") and module is not None]
+assert not loaded, loaded
+"""
+
+
+def test_runs_without_scipy(scalar_model_file, study_file, tmp_path):
+    src = str(Path(enkf_lab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", WITHOUT_SCIPY, str(scalar_model_file), str(study_file),
+         str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "kf" / "kf.json").exists()
+    assert (tmp_path / "study" / "report.json").exists()
+
+
 class TestStudyCommand:
     def test_outputs_and_summary(self, scalar_model_file, study_file, tmp_path, capsys):
         out = tmp_path / "out"
@@ -156,10 +187,10 @@ class TestStudyCommand:
                 raise OSError("no C library")
             return object()
 
-        monkeypatch.setattr(cli.ctypes, "CDLL", no_mallopt)
+        monkeypatch.setattr(experiment.ctypes, "CDLL", no_mallopt)
         # A fresh run-once wrapper, so that this process looks mallopt up again.
-        monkeypatch.setattr(cli, "_keep_freed_memory",
-                            functools.cache(cli._keep_freed_memory.__wrapped__))
+        monkeypatch.setattr(experiment, "_keep_freed_memory",
+                            functools.cache(experiment._keep_freed_memory.__wrapped__))
         assert report(tmp_path / "untuned") == tuned
         assert lookups == [None]
 

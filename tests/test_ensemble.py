@@ -381,11 +381,16 @@ class TestTriangularAccumulate:
 
 
 RAW_WORDS_DIGEST = "6b5647362e92995e2e6b43d610dd5c5854e52a8081172cb82e020438237060da"
-TINY_REPORT_DIGEST = "835dd5ac6ccb201f4bea2a5ca3611a1e19817f90929344e8cce33e3c9c5abb8c"
+TINY_REPORT_DIGEST = "756553a82c89c027114190daa6581a314c350dcf1174bdcda72ab6ba21b7b4a7"
 
 
 class TestDrawSchemeGolden:
-    """Pinned digests: any change to the random bits must bump DRAW_SCHEME."""
+    """Pinned digests: any change to the random bits must bump DRAW_SCHEME.
+
+    The report digest also pins the gain arithmetic: a change in how the
+    gain is solved moves the report's last bits without touching a draw,
+    and then changes that digest alone.
+    """
 
     def test_raw_words_of_a_fixed_key(self):
         # Raw Philox words are stable across platforms and numpy versions

@@ -1,14 +1,16 @@
+import functools
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from enkf_lab import (
     GaussianState,
     Metric,
     StudyConfig,
     coupled_run,
+    experiment,
     fit_rate,
     gain_error,
     kf_run,
@@ -47,7 +49,7 @@ def lp_log_space(norms, p):
     """(mean |v|^p)^(1/p) and its delta-method standard error, computed from
     logarithms: se = value * std(|v|^p / mean |v|^p) / (p sqrt(R))."""
     logs = p * np.log(norms)
-    log_mean = logsumexp(logs) - np.log(len(norms))
+    log_mean = np.logaddexp.reduce(logs) - np.log(len(norms))
     value = np.exp(log_mean / p)
     ratios = np.exp(logs - log_mean)
     return value, value * ratios.std(ddof=1) / (p * np.sqrt(len(norms)))
@@ -343,6 +345,22 @@ class TestRunStudy:
         sequential["metadata"].pop("timestamp")
         parallel["metadata"].pop("timestamp")
         assert sequential == parallel
+
+    def test_malloc_thresholds_set_once_per_process(self, scalar, monkeypatch):
+        lookups, calls = [], []
+
+        def fake_cdll(name):
+            lookups.append(name)
+            return SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+
+        monkeypatch.setattr(experiment.ctypes, "CDLL", fake_cdll)
+        # A fresh run-once wrapper, as in a process that has run no study yet.
+        monkeypatch.setattr(experiment, "_keep_freed_memory",
+                            functools.cache(experiment._keep_freed_memory.__wrapped__))
+        run_study(self.small_config(scalar))
+        run_study(self.small_config(scalar))
+        assert lookups == [None]
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
     def test_metric_subset_respected(self, scalar):
         model, init = scalar
