@@ -44,7 +44,6 @@ from .enkf import (
     enkf_analysis,
 )
 from .experiment import (
-    ALL_METRICS,
     ConvergenceReport,
     Estimate,
     Metric,
@@ -62,7 +61,6 @@ from .reference import reference_model, scalar_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_METRICS",
     "ConvergenceReport",
     "CoupledState",
     "DrawKey",

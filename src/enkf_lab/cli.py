@@ -24,7 +24,7 @@ import numpy as np
 
 from .enkf import coupled_run
 from .ensemble import write_ensemble
-from .experiment import ALL_METRICS, Metric, StudyConfig, StudyFormatError, run_study
+from .experiment import Metric, StudyConfig, StudyFormatError, run_study
 from .jsonio import write_canonical_json
 from .kf import kf_run
 from .model import GaussianState, LinearModel, ModelFormatError, ValidationError, load_model
@@ -113,7 +113,7 @@ def _build_study_config(
         raise StudyFormatError("study file needs n_grid and replicates")
     metric_names = raw.get("metrics")
     if metric_names is None:
-        metrics = ALL_METRICS
+        metrics = tuple(Metric)
     elif not isinstance(metric_names, list):
         raise StudyFormatError(f"metrics must be a list, got {metric_names!r}")
     else:

@@ -10,8 +10,10 @@ Chunking changes no bit of the report. From the scalars the study estimates
 per-step error metrics against the exact filter (member-wise L^p distance to
 the reference ensemble, mean and covariance consistency errors, gain error)
 plus an L^p moment monitor, and fits log-log convergence rates across the
-grid. The four public estimators take one ensemble size's scalars, and
-``run_study`` estimates through them.
+grid. The four public estimators take one ensemble size's scalars and
+answer for every step at once; ``run_study`` calls each once per N (and p)
+and reads the estimate rows, rate fits and moment flags from one table per
+metric.
 """
 
 from __future__ import annotations
@@ -56,17 +58,16 @@ class Metric(Enum):
     MOMENT_MONITOR = "moment"
 
 
-ALL_METRICS = tuple(Metric)
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Estimate:
-    """Point estimate with its Monte-Carlo standard error.
+    """Point estimates with their Monte-Carlo standard errors, float64 arrays
+    indexed by step.
 
     stderr is NaN when it cannot be estimated (fewer than 2 replicates).
     """
 
-    value: float
-    stderr: float
+    value: np.ndarray
+    stderr: np.ndarray
 
 
 class StudyFormatError(ValueError):
@@ -99,7 +100,7 @@ class StudyConfig:
     n_grid: tuple[int, ...] = (16, 64, 256, 1024, 4096)
     replicates: int = 100
     p_list: tuple[float, ...] = (2.0, 4.0)
-    metrics: tuple[Metric, ...] = ALL_METRICS
+    metrics: tuple[Metric, ...] = tuple(Metric)
 
     def __post_init__(self):
         # A wrong type raises StudyFormatError; numpy scalars are stored as
@@ -133,44 +134,43 @@ class StudyConfig:
 # ---------------------------------------------------------------------------
 # Estimators. `scalars` is one ensemble size's scalars from
 # enkf.chunk_errors, shape (replicates, steps + 1, 5): one row per replicate.
+# Each estimator answers for every step at once, as an Estimate per step.
 # ---------------------------------------------------------------------------
 
 
-def _at_step(scalars, k: int, column: int) -> np.ndarray:
-    if len(scalars) == 0:
-        raise ValueError("no replicate runs given")
-    last = scalars.shape[1] - 1
-    if not 0 <= k <= last:
-        raise ValueError(f"step index {k} out of range 0..{last}")
-    return scalars[:, k, column]
+def _by_step(scalars, column: int) -> np.ndarray:
+    # (steps + 1, replicates), one contiguous row per step: NumPy sums such
+    # a row pairwise, as it sums a 1-D array, so each step keeps its bits.
+    return np.ascontiguousarray(scalars[:, :, column].T)
 
 
 # Natural logs of the bounds of float64's normal range.
 _LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
-def _scale(values: np.ndarray, p: float) -> float:
-    # max|v| where the squares of |v|^p (their sum, at the upper end) would
-    # leave float64's normal range, else 1.0. That is decided in log space,
-    # before any power is taken, so an errstate of over="raise" cannot fire;
-    # dividing and multiplying by 1.0 moves no bit.
-    top = float(np.abs(values).max())
-    if 0.0 < top < math.inf and not (
-            _LOG_TINY <= 2.0 * p * math.log(top) <= _LOG_MAX - math.log(len(values))):
-        return top
-    return 1.0
+def _scale(values: np.ndarray, p: float) -> np.ndarray:
+    # Per step, max|v| where the squares of |v|^p (their sum, at the upper
+    # end) would leave float64's normal range, else 1.0. That is decided in
+    # log space, before any power is taken, so an errstate of over="raise"
+    # cannot fire; dividing and multiplying by 1.0 moves no bit.
+    limit = _LOG_MAX - math.log(values.shape[1])
+    return np.array([
+        top if 0.0 < top < math.inf and not (_LOG_TINY <= 2.0 * p * math.log(top) <= limit)
+        else 1.0
+        for top in np.abs(values).max(axis=1).tolist()
+    ])
 
 
 def _mean_estimate(values: np.ndarray) -> Estimate:
     # Taken of v / scale and scaled back, so that the squared deviations of
     # the standard error stay finite for values beyond about 1e154.
     scale = _scale(values, 1.0)
-    values = values / scale
-    value = scale * float(values.mean())
-    if len(values) < 2:
-        stderr = float("nan")
+    values = values / scale[:, None]
+    value = scale * values.mean(axis=1)
+    if values.shape[1] < 2:
+        stderr = np.full(len(values), np.nan)
     else:
-        stderr = scale * float(values.std(ddof=1)) / np.sqrt(len(values))
+        stderr = scale * values.std(axis=1, ddof=1) / np.sqrt(values.shape[1])
     return Estimate(value=value, stderr=stderr)
 
 
@@ -178,18 +178,21 @@ def _lp_estimate(norms: np.ndarray, p: float) -> Estimate:
     # Estimates (E |v|^p)^(1/p) by the replicate average of |v|^p; the
     # standard error maps through the 1/p power by the delta method. Where
     # the powers would leave float64's range, the estimate is taken of
-    # v / max|v| and scaled back by max|v|.
+    # v / max|v| and scaled back by max|v|. The 1/p powers are taken of
+    # Python floats: NumPy's vectorized power can round the last bit apart.
     scale = _scale(norms, p)
-    power = _mean_estimate((norms / scale) ** p)
-    value = scale * power.value ** (1.0 / p)
-    if power.value == 0.0:  # all norms zero: stderr 0 (NaN for one replicate)
-        return Estimate(value=value, stderr=power.stderr)
-    return Estimate(value=value,
-                    stderr=scale * power.stderr * power.value ** (1.0 / p - 1.0) / p)
+    power = _mean_estimate((norms / scale[:, None]) ** p)
+    means = power.value.tolist()
+    value = scale * np.array([v ** (1.0 / p) for v in means])
+    # A zero mean (all norms zero) has no finite slope, but its stderr is 0
+    # (NaN for one replicate) times any finite stand-in.
+    slope = np.array([v ** (1.0 / p - 1.0) if v else 0.0 for v in means])
+    return Estimate(value=value, stderr=scale * power.stderr * slope / p)
 
 
-def member_lp_error(scalars, k: int, p: float) -> Estimate:
-    """L^p distance of member 1 between the EnKF and reference ensembles.
+def member_lp_error(scalars, p: float) -> Estimate:
+    """L^p distance of member 1 between the EnKF and reference ensembles,
+    per step.
 
     Only member 1 of each replicate enters, so the replicate values are
     independent; averaging members within a replicate would correlate terms
@@ -197,29 +200,26 @@ def member_lp_error(scalars, k: int, p: float) -> Estimate:
     """
     if len(scalars) < 2:
         raise ValueError("member_lp_error needs at least 2 replicates")
-    return _lp_estimate(_at_step(scalars, k, MEMBER_DIFF), p)
+    return _lp_estimate(_by_step(scalars, MEMBER_DIFF), p)
 
 
-def mean_cov_error(scalars, k: int) -> tuple[Estimate, Estimate]:
+def mean_cov_error(scalars) -> tuple[Estimate, Estimate]:
     """Replicate-averaged distance of the ensemble mean to the exact filtering
     mean (Euclidean) and of the sample covariance to the exact covariance
-    (Frobenius)."""
-    return (_mean_estimate(_at_step(scalars, k, MEAN_ERR)),
-            _mean_estimate(_at_step(scalars, k, COV_ERR)))
+    (Frobenius), per step."""
+    return (_mean_estimate(_by_step(scalars, MEAN_ERR)),
+            _mean_estimate(_by_step(scalars, COV_ERR)))
 
 
-def gain_error(scalars, k: int) -> Estimate:
+def gain_error(scalars) -> Estimate:
     """Replicate-averaged Frobenius distance between the ensemble gain and the
-    exact gain at step k (k >= 1; there is no gain at initialization)."""
-    values = _at_step(scalars, k, GAIN_ERR)
-    if k < 1:
-        raise ValueError("no gain exists at step 0")
-    return _mean_estimate(values)
+    exact gain, per step. Step 0 is NaN: there is no gain at initialization."""
+    return _mean_estimate(_by_step(scalars, GAIN_ERR))
 
 
-def member_moment(scalars, k: int, p: float) -> Estimate:
-    """(E ||X_1||^p)^(1/p) of EnKF member 1 at step k, across replicates."""
-    return _lp_estimate(_at_step(scalars, k, MEMBER_NORM), p)
+def member_moment(scalars, p: float) -> Estimate:
+    """(E ||X_1||^p)^(1/p) of EnKF member 1 across replicates, per step."""
+    return _lp_estimate(_by_step(scalars, MEMBER_NORM), p)
 
 
 def _moment_ratio(values) -> float:
@@ -424,22 +424,9 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
     scalars = np.concatenate([chunk_scalars for chunk_scalars, _ in results])
     lost = {r: errors for _, failed in results for r, errors in failed.items()}
 
-    estimates: list[EstimateRow] = []
+    # One table per metric label: {label: {N: Estimate}}, N in grid order.
+    tables: dict[str, dict[int, Estimate]] = {}
     failures: dict[str, list] = {}
-    # Per (label, k) the (N, estimate) points of a rate fit; the moment
-    # monitor is a boundedness check, not an error, and gets a flag instead.
-    rate_points: dict[tuple[str, int], list[tuple[int, float]]] = {}
-    moments: dict[tuple[float, int], list[float]] = {}
-
-    def add(metric: Metric, p: float | None, k: int, n: int, est: Estimate):
-        label = _metric_label(metric, p)
-        estimates.append(EstimateRow(label, k, n, est.value, est.stderr))
-        if metric is Metric.MOMENT_MONITOR:
-            moments.setdefault((p, k), []).append(est.value)
-        else:
-            rate_points.setdefault((label, k), []).append((n, est.value))
-
-    with_mean_cov = {Metric.MEAN_ERR, Metric.COV_ERR} & set(config.metrics)
     for j, n in enumerate(config.n_grid):
         failed = [{"replicate": r, "error": lost[r][n]} for r in sorted(lost) if n in lost[r]]
         if failed:
@@ -448,32 +435,44 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
         if len(done) < 2:
             continue
         rows = scalars[done, j]  # (replicates, steps + 1, 5)
-        for k in range(rows.shape[1]):
-            if with_mean_cov:
-                mean_cov = dict(zip((Metric.MEAN_ERR, Metric.COV_ERR), mean_cov_error(rows, k)))
-            for metric in config.metrics:
-                if metric in (Metric.MEMBER_LP, Metric.MOMENT_MONITOR):
-                    lp = member_lp_error if metric is Metric.MEMBER_LP else member_moment
-                    for p in config.p_list:
-                        add(metric, p, k, n, lp(rows, k, p))
-                elif metric is not Metric.GAIN_ERR:
-                    add(metric, None, k, n, mean_cov[metric])
-                elif k >= 1:
-                    add(metric, None, k, n, gain_error(rows, k))
+        if {Metric.MEAN_ERR, Metric.COV_ERR} & set(config.metrics):
+            mean_cov = mean_cov_error(rows)
+        for metric in config.metrics:
+            if metric in (Metric.MEMBER_LP, Metric.MOMENT_MONITOR):
+                lp = member_lp_error if metric is Metric.MEMBER_LP else member_moment
+                for p in config.p_list:
+                    tables.setdefault(_metric_label(metric, p), {})[n] = lp(rows, p)
+            else:
+                tables.setdefault(metric.value, {})[n] = (
+                    gain_error(rows) if metric is Metric.GAIN_ERR
+                    else mean_cov[metric is Metric.COV_ERR])  # (mean, cov)
 
-    estimates.sort(key=lambda row: (row.metric, row.k, row.n))
+    # Rows in (label, k, N) order. Every error gets a rate fit over N per
+    # step; the moment monitor is a boundedness check, not an error, and
+    # gets a flag per step instead, in numeric order of p.
+    steps = range(len(config.model.steps) + 1)
+    estimates: list[EstimateRow] = []
     rates: list[RateRow] = []
-    for (metric, k), points in sorted(rate_points.items()):
-        try:
-            fit = fit_rate(points)
-        except ValueError:  # fewer than 3 positive points: no rate to fit
-            continue
-        rates.append(RateRow(metric, k, **vars(fit)))
+    for label, table in sorted(tables.items()):
+        for k in steps[1:] if label == Metric.GAIN_ERR.value else steps:
+            points = [(n, float(est.value[k])) for n, est in table.items()]
+            estimates += [EstimateRow(label, k, n, e, float(table[n].stderr[k]))
+                          for n, e in points]
+            if label.startswith(Metric.MOMENT_MONITOR.value):
+                continue
+            try:
+                fit = fit_rate(points)
+            except ValueError:  # fewer than 3 positive points: no rate to fit
+                continue
+            rates.append(RateRow(label, k, **vars(fit)))
     moment_flags = []
-    for (p, k), values in sorted(moments.items()):
-        ratio = _moment_ratio(values)
+    for p in sorted(config.p_list):
         label = _metric_label(Metric.MOMENT_MONITOR, p)
-        moment_flags.append(MomentFlagRow(label, k, ratio > MOMENT_FLAG_RATIO, ratio))
+        if label not in tables:
+            continue
+        for k in steps:
+            ratio = _moment_ratio([float(est.value[k]) for est in tables[label].values()])
+            moment_flags.append(MomentFlagRow(label, k, ratio > MOMENT_FLAG_RATIO, ratio))
 
     metadata = {
         "seed": config.seed,

@@ -5,9 +5,15 @@ products, element loops, one ``np.linalg.norm`` per value) rather than
 reusing the library's linear algebra, so a bug cannot cancel out of both
 sides of an assertion. ``coupled_scalars`` borrows only the library's sample
 moments, so that it can match the study kernel bit for bit.
+``mean_estimate_at_step`` and ``lp_estimate_at_step`` are the estimators'
+arithmetic on one step's replicate values alone, the reference that the
+every-step estimators must match bit for bit.
 """
 
 from __future__ import annotations
+
+import math
+import sys
 
 import numpy as np
 
@@ -38,6 +44,41 @@ def replicate_scalars(runs, trajectory):
     """``coupled_scalars`` of each run, stacked: shape (replicates, steps + 1,
     5), the input of the study's estimators for one ensemble size."""
     return np.stack([coupled_scalars(run, trajectory) for run in runs])
+
+
+# Natural logs of the bounds of float64's normal range.
+_LOG_TINY, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+
+def _scale_at_step(values, p):
+    top = float(np.abs(values).max())
+    if 0.0 < top < math.inf and not (
+            _LOG_TINY <= 2.0 * p * math.log(top) <= _LOG_MAX - math.log(len(values))):
+        return top
+    return 1.0
+
+
+def mean_estimate_at_step(values):
+    """(mean, standard error) of one step's 1-D replicate values, taken of
+    v / max|v| where squared deviations could leave float64's range."""
+    scale = _scale_at_step(values, 1.0)
+    values = values / scale
+    value = scale * float(values.mean())
+    if len(values) < 2:
+        return value, float("nan")
+    return value, scale * float(values.std(ddof=1)) / np.sqrt(len(values))
+
+
+def lp_estimate_at_step(norms, p):
+    """((mean |v|^p)^(1/p), delta-method standard error) of one step's 1-D
+    replicate norms, taken of v / max|v| where |v|^p could leave float64's
+    range."""
+    scale = _scale_at_step(norms, p)
+    value, stderr = mean_estimate_at_step((norms / scale) ** p)
+    if value == 0.0:
+        return scale * value ** (1.0 / p), stderr
+    return (scale * value ** (1.0 / p),
+            scale * stderr * value ** (1.0 / p - 1.0) / p)
 
 
 def conjugate_scalar_chain(model, init):

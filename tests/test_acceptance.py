@@ -229,8 +229,7 @@ def test_criterion_7_deterministic_invariants():
             for r in range(3)
         ]
         hooked_scalars = replicate_scalars(hooked, trajectory)
-        for k in range(1, 6):
-            assert gain_error(hooked_scalars, k).value == 0.0
+        assert (gain_error(hooked_scalars).value[1:] == 0.0).all()
         assert time.perf_counter() - started < 10.0
 
 

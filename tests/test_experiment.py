@@ -19,10 +19,10 @@ from enkf_lab import (
     member_moment,
     run_study,
 )
-from enkf_lab.enkf import MEMBER_DIFF
+from enkf_lab.enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
 from enkf_lab.experiment import StudyFormatError, config_hash
 
-from oracles import replicate_scalars
+from oracles import lp_estimate_at_step, mean_estimate_at_step, replicate_scalars
 
 
 @pytest.fixture(scope="module")
@@ -57,25 +57,25 @@ def lp_log_space(norms, p):
 
 class TestMemberLpError:
     def test_zero_at_initialization(self, scalar_rows):
-        est = member_lp_error(scalar_rows[16], 0, 2)
-        assert est.value == 0.0
-        assert est.stderr == 0.0
+        est = member_lp_error(scalar_rows[16], 2)
+        assert est.value[0] == 0.0
+        assert est.stderr[0] == 0.0
 
     def test_two_replicate_formula(self):
         # with member-1 error norms {0, 2}: ((0 + 2^2)/2)^(1/2) = sqrt(2)
         scalars = np.zeros((2, 1, 5))
         scalars[1, 0, MEMBER_DIFF] = 2.0
-        est = member_lp_error(scalars, 0, 2)
-        assert abs(est.value - np.sqrt(2.0)) < 1e-15
+        est = member_lp_error(scalars, 2)
+        assert abs(est.value[0] - np.sqrt(2.0)) < 1e-15
 
     def test_error_decreases_with_ensemble_size(self, scalar_rows):
-        small = member_lp_error(scalar_rows[16], 3, 2)
-        big = member_lp_error(scalar_rows[4096], 3, 2)
-        assert big.value < small.value
+        small = member_lp_error(scalar_rows[16], 2)
+        big = member_lp_error(scalar_rows[4096], 2)
+        assert big.value[3] < small.value[3]
 
     def test_p2_equals_root_mean_square_recomputation(self, scalar_runs, scalar_rows):
         runs = scalar_runs[16]
-        est = member_lp_error(scalar_rows[16], 2, 2)
+        est = member_lp_error(scalar_rows[16], 2)
         sq = [
             float(
                 np.sum(
@@ -88,7 +88,7 @@ class TestMemberLpError:
             )
             for run in runs
         ]
-        assert abs(est.value - np.sqrt(np.mean(sq))) <= 1e-14
+        assert abs(est.value[2] - np.sqrt(np.mean(sq))) <= 1e-14
 
     @pytest.mark.parametrize("p", [300.0, 1000.0])
     def test_large_order_matches_log_space_reference(self, scalar, scalar_kf, p):
@@ -113,11 +113,7 @@ class TestMemberLpError:
 
     def test_needs_two_replicates(self, scalar_rows):
         with pytest.raises(ValueError, match="2 replicates"):
-            member_lp_error(scalar_rows[16][:1], 1, 2)
-
-    def test_step_out_of_range(self, scalar_rows):
-        with pytest.raises(ValueError, match="out of range"):
-            member_lp_error(scalar_rows[16], 9, 2)
+            member_lp_error(scalar_rows[16][:1], 2)
 
 
 class TestMeanCovError:
@@ -129,14 +125,14 @@ class TestMeanCovError:
             coupled_run(model, init, 0, r, 8, kf_trajectory=trajectory)
             for r in range(3)
         ]
-        mean_est, cov_est = mean_cov_error(replicate_scalars(runs, trajectory), 0)
-        assert mean_est.value == 0.0
-        assert cov_est.value == 0.0
+        mean_est, cov_est = mean_cov_error(replicate_scalars(runs, trajectory))
+        assert mean_est.value[0] == 0.0
+        assert cov_est.value[0] == 0.0
 
     def test_single_replicate_stderr_undefined(self, scalar_rows):
-        mean_est, cov_est = mean_cov_error(scalar_rows[16][:1], 1)
-        assert np.isnan(mean_est.stderr)
-        assert np.isnan(cov_est.stderr)
+        mean_est, cov_est = mean_cov_error(scalar_rows[16][:1])
+        assert np.isnan(mean_est.stderr).all()
+        assert np.isnan(cov_est.stderr).all()
 
     def test_cov_error_shrinks_with_exact_gain_hook(self, scalar, scalar_kf):
         # with the exact-gain hook the members stay i.i.d. samples, so the
@@ -151,8 +147,8 @@ class TestMeanCovError:
                 )
                 for r in range(30)
             ]
-            _, cov_est = mean_cov_error(replicate_scalars(runs, scalar_kf), 3)
-            errs.append(cov_est.value)
+            _, cov_est = mean_cov_error(replicate_scalars(runs, scalar_kf))
+            errs.append(cov_est.value[3])
         fit = fit_rate(list(zip((16, 256, 4096), errs)))
         assert -0.75 < fit.slope < -0.25
 
@@ -168,26 +164,25 @@ class TestGainError:
             for r in range(3)
         ]
         scalars = replicate_scalars(runs, scalar_kf)
-        for k in range(1, 4):
-            assert gain_error(scalars, k).value == 0.0
+        assert (gain_error(scalars).value[1:] == 0.0).all()
 
     def test_decreasing_in_n(self, scalar_rows):
-        for k in range(1, 4):
-            assert gain_error(scalar_rows[4096], k).value < gain_error(
-                scalar_rows[16], k
-            ).value
+        big, small = gain_error(scalar_rows[4096]), gain_error(scalar_rows[16])
+        assert (big.value[1:] < small.value[1:]).all()
 
     def test_no_gain_at_step_zero(self, scalar_rows):
-        with pytest.raises(ValueError, match="step 0"):
-            gain_error(scalar_rows[16], 0)
+        # the kernel's step-0 gain scalar is NaN, and so is the estimate
+        est = gain_error(scalar_rows[16])
+        assert np.isnan(est.value[0]) and np.isnan(est.stderr[0])
+        assert np.isfinite(est.value[1:]).all()
 
 
 class TestMomentMonitor:
     def test_initial_moment_is_size_independent(self, scalar_rows):
         # member 1 at k=0 is literally the same draw at every N
-        a = member_moment(scalar_rows[16], 0, 4)
-        b = member_moment(scalar_rows[4096], 0, 4)
-        assert a.value == b.value
+        a = member_moment(scalar_rows[16], 4)
+        b = member_moment(scalar_rows[4096], 4)
+        assert a.value[0] == b.value[0]
 
     def test_standard_normal_second_moment(self, empty_scalar):
         # E|N(0,1)|^2 = 1
@@ -198,8 +193,8 @@ class TestMomentMonitor:
             coupled_run(model, init, 3, r, 2, kf_trajectory=trajectory)
             for r in range(200)
         ]
-        est = member_moment(replicate_scalars(runs, trajectory), 0, 2)
-        assert abs(est.value - 1.0) <= 3 * est.stderr
+        est = member_moment(replicate_scalars(runs, trajectory), 2)
+        assert abs(est.value[0] - 1.0) <= 3 * est.stderr[0]
 
     def test_monitor_table_and_flag(self, scalar, scalar_rows):
         # the study tabulates member_moment over the grid and flags a
@@ -209,12 +204,58 @@ class TestMomentMonitor:
                              replicates=100, p_list=(4.0,),
                              metrics=(Metric.MOMENT_MONITOR,))
         report = run_study(config)
-        table = [member_moment(scalar_rows[n], 3, 4).value for n in (16, 4096)]
+        table = [member_moment(scalar_rows[n], 4).value[3] for n in (16, 4096)]
         assert [report.estimate("moment_p4", 3, n).estimate for n in (16, 4096)] == table
         (flag,) = [row for row in report.moment_flags if row.k == 3]
         assert flag.max_over_min == max(table) / min(table)
         assert not flag.flagged
         assert flag.max_over_min < 3.0
+
+
+def synthetic_scalars(rng):
+    """Six replicates whose steps take each path of the estimators: all zero,
+    about 1e-200 and about 1e200 (scaled by max|v|), plain, and plain with
+    zeros; the gain column is NaN at step 0, as the kernel's is."""
+    base = rng.uniform(0.5, 2.0, size=(6, 5, 5))
+    scalars = base * np.array([0.0, 1e-200, 1e200, 1.0, 1.0])[None, :, None]
+    scalars[::2, 4] = 0.0
+    scalars[:, 0, GAIN_ERR] = np.nan
+    return scalars
+
+
+class TestEveryStepMatchesOneStep:
+    # Each step of an every-step estimate equals the one-step arithmetic on
+    # that step's replicate values alone, bit for bit (NaN included).
+
+    @staticmethod
+    def assert_bits(est, per_step):
+        assert [float(v).hex() for v in est.value] == [float(v).hex() for v, _ in per_step]
+        assert [float(s).hex() for s in est.stderr] == [float(s).hex() for _, s in per_step]
+
+    @staticmethod
+    def cases(source, scalar_rows, rng):
+        if source == "scalar_rows":
+            return list(scalar_rows.values())
+        return [synthetic_scalars(rng)]
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 7.5])
+    @pytest.mark.parametrize("source", ["scalar_rows", "synthetic"])
+    def test_lp_estimators(self, source, p, scalar_rows, rng):
+        for scalars in self.cases(source, scalar_rows, rng):
+            for estimate, column in ((member_lp_error, MEMBER_DIFF),
+                                     (member_moment, MEMBER_NORM)):
+                self.assert_bits(estimate(scalars, p), [
+                    lp_estimate_at_step(scalars[:, k, column], p)
+                    for k in range(scalars.shape[1])])
+
+    @pytest.mark.parametrize("source", ["scalar_rows", "synthetic"])
+    def test_mean_estimators(self, source, scalar_rows, rng):
+        for scalars in self.cases(source, scalar_rows, rng):
+            for est, column in zip((*mean_cov_error(scalars), gain_error(scalars)),
+                                   (MEAN_ERR, COV_ERR, GAIN_ERR)):
+                self.assert_bits(est, [
+                    mean_estimate_at_step(scalars[:, k, column])
+                    for k in range(scalars.shape[1])])
 
 
 class TestFitRate:
@@ -501,24 +542,64 @@ class TestRunStudy:
                              replicates=5, p_list=(2.0, 3.5))
         report = run_study(config)
 
-        def check(metric, k, n, est):
-            row = report.estimate(metric, k, n)
-            assert (row.estimate, row.stderr) == (est.value, est.stderr)
+        def check(metric, n, est, first=0):
+            for k in range(first, len(model.steps) + 1):
+                row = report.estimate(metric, k, n)
+                assert (row.estimate, row.stderr) == (est.value[k], est.stderr[k])
 
         for n in config.n_grid:
             runs = [coupled_run(model, init, 4, r, n, kf_trajectory=scalar_kf)
                     for r in range(config.replicates)]
             scalars = replicate_scalars(runs, scalar_kf)
-            for k in range(len(model.steps) + 1):
-                for p, label in ((2.0, "p2"), (3.5, "p3.5")):
-                    check(f"member_lp_{label}", k, n, member_lp_error(scalars, k, p))
-                    check(f"moment_{label}", k, n, member_moment(scalars, k, p))
-                mean_est, cov_est = mean_cov_error(scalars, k)
-                check("mean_err", k, n, mean_est)
-                check("cov_err", k, n, cov_est)
-                if k >= 1:
-                    check("gain_err", k, n, gain_error(scalars, k))
+            for p, label in ((2.0, "p2"), (3.5, "p3.5")):
+                check(f"member_lp_{label}", n, member_lp_error(scalars, p))
+                check(f"moment_{label}", n, member_moment(scalars, p))
+            mean_est, cov_est = mean_cov_error(scalars)
+            check("mean_err", n, mean_est)
+            check("cov_err", n, cov_est)
+            check("gain_err", n, gain_error(scalars), first=1)
         assert len(report.estimates) == 3 * (4 * 6 + 3)
+
+    def test_one_estimator_call_per_size(self, scalar, monkeypatch):
+        # every estimator answers for all steps, so the study calls it once
+        # per N (and p), not once per step
+        calls = {}
+
+        def counted(name):
+            real = getattr(experiment, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return real(*args)
+            return wrapper
+
+        for name in ("member_lp_error", "member_moment", "mean_cov_error", "gain_error"):
+            monkeypatch.setattr(experiment, name, counted(name))
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16),
+                             replicates=3, p_list=(2.0, 4.0))
+        run_study(config)
+        assert calls == {"member_lp_error": 6, "member_moment": 6,
+                         "mean_cov_error": 3, "gain_error": 3}
+
+    def test_row_order(self, scalar):
+        # estimates and rates in label order, so p10 before p2; moment flags
+        # in numeric order of p
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16),
+                             replicates=3, p_list=(2.0, 10.0))
+        report = run_study(config)
+        keys = [(row.metric, row.k, row.n) for row in report.estimates]
+        assert keys == sorted(keys)
+        assert len(keys) == 3 * (4 * 6 + 3)
+        labels = list(dict.fromkeys(metric for metric, _, _ in keys))
+        assert labels == ["cov_err", "gain_err", "mean_err", "member_lp_p10",
+                          "member_lp_p2", "moment_p10", "moment_p2"]
+        rate_keys = [(row.metric, row.k) for row in report.rates]
+        assert rate_keys == sorted(rate_keys)
+        assert {metric for metric, _ in rate_keys} == set(labels[:5])
+        assert [(row.metric, row.k) for row in report.moment_flags] == [
+            (f"moment_p{p}", k) for p in (2, 10) for k in range(4)]
 
     def test_one_pool_per_study(self, scalar, monkeypatch):
         import concurrent.futures
