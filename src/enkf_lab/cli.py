@@ -124,19 +124,29 @@ def _build_study_config(
     # Seed precedence: --seed flag > study file > environment variable > 0.
     # The flag replaces the file's seed only after StudyConfig has checked it.
     seed = raw.get("seed")
-    if seed is None:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0")) if cli_seed is None else cli_seed
+    if seed is None and cli_seed is None:
+        text = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise StudyFormatError(f"{SEED_ENV_VAR} takes integers only, got {text!r}") from None
     fields = {key: raw[key] for key in ("n_grid", "replicates", "p_list") if key in raw}
-    config = StudyConfig(model=model, init=init, seed=seed, metrics=metrics, **fields)
+    config = StudyConfig(model=model, init=init, seed=cli_seed if seed is None else seed,
+                         metrics=metrics, **fields)
     return config if cli_seed is None else dataclasses.replace(config, seed=cli_seed)
 
 
-def _dump_trajectories(out: Path, config: StudyConfig) -> None:
+def _dump_trajectories(out: Path, config: StudyConfig, failures: dict) -> None:
     # Replicate 0 stands in for the whole study; every replicate is
-    # regenerable from (seed, replicate, N) anyway.
+    # regenerable from (seed, replicate, N) anyway. Its chain at N is the
+    # study's, so an N where the study saw it fail is skipped.
     trajectory = kf_run(config.model, config.init)
     root = out / "trajectories"
     for n in config.n_grid:
+        if any(row["replicate"] == 0 for row in failures.get(str(n), ())):
+            print(f"error: N={n}: replicate 0 failed, so its trajectories are not "
+                  "dumped", file=sys.stderr)
+            continue
         run = coupled_run(config.model, config.init, config.seed, 0, n, trajectory)
         n_dir = root / f"n{n}"
         n_dir.mkdir(parents=True, exist_ok=True)
@@ -188,7 +198,7 @@ def cmd_study(
         report.write_estimates_csv(out / "estimates.csv")
         report.write_rates_csv(out / "rates.csv")
     if dump_trajectories:
-        _dump_trajectories(out, config)
+        _dump_trajectories(out, config, report.metadata["failures"])
 
     # Rates are sorted by (metric, k): keep each metric's last step.
     last_fit = {row.metric: row for row in report.rates}

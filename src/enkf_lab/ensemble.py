@@ -7,25 +7,19 @@ ensembles enter the program (the draws and ``read_ensemble``): the 1/N
 sample covariance is identically zero there and the size asymptotics are
 meaningless.
 
-Draw scheme 3, recorded in study reports as draw_scheme: each draw call is
+Draw scheme 4, recorded in study reports as draw_scheme: each draw call is
 keyed by (seed, replicate, step, role), hashed once into a Philox key (Salmon
 et al., SC'11). NumPy's ziggurat (Marsaglia & Tsang, 2000), through
 Generator.standard_normal, fills the normals from that stream member by
-member: member i of an m-dimensional draw is normals [i*m, (i+1)*m). Draws
-therefore do not depend on evaluation order or ensemble size: the first N
-members of a larger ensemble are bit-identical to the members of the size-N
+member: member i of an m-dimensional draw is normals [i*m, (i+1)*m). Then
+mean + G z, G the Cholesky factor, is taken as one matrix product of the same
+shape per block of _BLOCK members. Draws therefore depend neither on
+evaluation order, nor on ensemble size, nor on the other replicates of a call:
+the first N members of a larger ensemble are bit-identical to the size-N
 ensemble. NEP 19 keeps raw Philox words stable across NumPy versions but not
-the normals standard_normal makes of them; the golden report digest of the
-tests catches such a change, which then needs a new DRAW_SCHEME.
-
-A draw call takes one replicate or a sequence of them; the study kernel
-makes one call per chunk of replicates and step. Each replicate keys its own
-stream, and the whole chunk then goes through one accumulation of mean + G z,
-with G the lower-triangular Cholesky factor. The accumulation adds column k
-of G into rows k and below only: a skipped term is +-0.0, which could only
-flip the sign of a -0.0 sum, so a mean with a -0.0 entry is accumulated over
-every row. A sequence of replicates thus gives, slice by slice, the bits of
-one call per replicate.
+the normals standard_normal makes of them, and the block product's bits rest
+on the BLAS; the golden report digest of the tests catches either change,
+which then needs a new DRAW_SCHEME.
 """
 
 from __future__ import annotations
@@ -44,12 +38,14 @@ from numpy.random import Generator, Philox
 
 from .model import GaussianState
 
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _KEY_STRUCT = struct.Struct("<Qqqq")
 _HEADER_STRUCT = struct.Struct("<qq")
 
 # Recorded in study reports and config hashes; bump whenever the bits change.
-DRAW_SCHEME = 3
+DRAW_SCHEME = 4
+
+# Members per matrix product of a draw; part of the draw scheme.
+_BLOCK = 128
 
 # Jitter scales tried (relative to mean diagonal) when factoring a
 # semidefinite covariance; PSD inputs such as a singular prior are legal.
@@ -61,6 +57,12 @@ class Role(IntEnum):
 
     INIT = 0
     DATA_PERTURBATION = 1
+
+
+def _check_seed(seed: int) -> None:
+    # Keys pack the seed as a uint64: masking any other seed would alias it.
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,9 @@ class DrawKey:
     def philox_key(self) -> np.ndarray:
         # 128-bit Philox key from a SHA-256 of the packed fields; stable
         # across platforms and sessions.
+        _check_seed(self.experiment_seed)
         payload = _KEY_STRUCT.pack(
-            self.experiment_seed & _MASK64,
-            self.replicate,
-            self.step,
-            int(self.role),
+            self.experiment_seed, self.replicate, self.step, int(self.role)
         )
         digest = hashlib.sha256(payload).digest()
         return np.frombuffer(digest[:16], dtype=np.uint64).copy()
@@ -141,13 +141,6 @@ def _draw_ensemble(
     mean = np.asarray(mean, dtype=np.float64)
     factor, _ = _cov_factor(np.asarray(cov, dtype=np.float64))
     dim = mean.shape[0]
-    # Large temporaries are reused in place, because every fresh one costs
-    # page faults; that moves no bit. The result is allocated first, so that
-    # the temporaries freed after it leave no hole below it in the heap (peak
-    # memory).
-    batch = len(replicates)
-    members = np.empty((batch, dim, n))
-    members[:] = mean[:, None]
     # Member i takes normals [i*dim, (i+1)*dim) of its replicate's stream,
     # which the ziggurat fills member by member (prefix property). A fresh
     # Philox state has a zero counter and an empty buffer, as Philox(key=...)
@@ -156,25 +149,17 @@ def _draw_ensemble(
     bits = Philox(0)
     normals = Generator(bits)
     state = bits.state
-    z = np.empty((batch, n, dim))
+    batch, blocks = len(replicates), -(-n // _BLOCK)
+    z = np.empty((batch, blocks, _BLOCK, dim))
     for b, replicate in enumerate(replicates):
         state["state"]["key"] = DrawKey(seed, replicate, step, role).philox_key()
         bits.state = state
         normals.standard_normal(out=z[b])
-    # zt[b, k] holds normal k of every member of replicate b, contiguous:
-    # strided rows halve the accumulate's speed.
-    zt = np.ascontiguousarray(z.mT)
-    # mean + G z, accumulated elementwise over k in a fixed order: a BLAS
-    # product would round differently depending on n (prefix property).
-    # G is lower triangular, so column k adds into rows k and below only.
-    # A skipped term is +-0.0, which changes no bit unless the partial sum
-    # is -0.0; that needs a -0.0 mean entry, and then every row is added.
-    buf = z.reshape(members.shape)  # z is spent
-    full_rows = bool(np.signbit(mean[mean == 0.0]).any())
-    for k in range(dim):
-        lo = 0 if full_rows else k
-        np.multiply(factor[lo:, k, None], zt[:, k, None, :], out=buf[:, lo:])
-        members[:, lo:] += buf[:, lo:]
+    # One product of the same shape per block, so a member's bits depend on
+    # neither n nor the other replicates; the last block's padding is dropped.
+    gz = (z @ factor.T).reshape(batch, blocks * _BLOCK, dim)
+    members = np.empty((batch, dim, n))
+    np.add(gz[:, :n].mT, mean[:, None], out=members)
     return members[0] if single else members
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from .enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
 # coupled_run and sample_cov are not called here; bench/spans.py wraps them.
 from .enkf import chunk_errors, coupled_run
-from .ensemble import DRAW_SCHEME, _cov_factor, sample_cov
+from .ensemble import DRAW_SCHEME, _check_seed, _cov_factor, sample_cov
 from .jsonio import canonical_json, format_float, write_canonical_json
 from .kf import kf_run
 from .model import GaussianState, LinearModel, model_to_dict
@@ -115,6 +115,7 @@ class StudyConfig:
         object.__setattr__(self, "replicates", int(replicates))
         object.__setattr__(self, "p_list", tuple(float(p) for p in p_list))
         object.__setattr__(self, "metrics", metrics)
+        _check_seed(self.seed)
         if not self.n_grid or any(n < 2 for n in self.n_grid):
             raise ValueError("n_grid entries must all be >= 2")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):

@@ -107,23 +107,18 @@ def conjugate_scalar_chain(model, init):
     return out
 
 
-def gaussian_draw_full_rows(philox_key, n, mean, factor):
-    """Draw scheme 3 with the accumulate over every row: member i is normals
-    [i*m, (i+1)*m) of ``standard_normal`` on a fresh Generator over the keyed
-    Philox stream, and mean + G z is summed one Python float at a time, over
-    k in order and over the full rows of G, zeros above the diagonal
-    included. Returns an m x n array."""
+def gaussian_draw_blocks(philox_key, n, mean, factor, block=128):
+    """Draw scheme 4 on a fresh Generator over the keyed Philox stream:
+    member i is normals [i*m, (i+1)*m) of ``standard_normal``, pushed through
+    G one block of ``block`` members at a time, each block a (block, m) @
+    (m, m) product, and the mean added last. Returns an m x n array."""
     m = len(mean)
+    blocks = -(-n // block)
     bits = np.random.Philox(key=philox_key)
-    z = np.random.Generator(bits).standard_normal((n, m))
-    out = np.empty((m, n))
-    for j in range(n):
-        for i in range(m):
-            acc = float(mean[i])
-            for k in range(m):
-                acc += float(factor[i][k]) * float(z[j][k])
-            out[i][j] = acc
-    return out
+    z = np.random.Generator(bits).standard_normal((blocks * block, m))
+    gz = np.concatenate([z[j * block:(j + 1) * block] @ factor.T
+                         for j in range(blocks)])
+    return np.asarray(mean)[:, None] + gz[:n].T
 
 
 def affine_columns_loop(A, b, X):

@@ -225,6 +225,30 @@ class TestStudyCommand:
         main(["study", str(scalar_model_file), str(study_no_seed), "-o", str(out_env)])
         assert json.loads((out_env / "report.json").read_text())["metadata"]["seed"] == 77
 
+    @pytest.mark.parametrize("flag, file_seed", [
+        ([], 2**64), (["--seed", str(2**64)], 5), (["--seed", "-1"], None),
+    ], ids=["file-2**64", "flag-2**64", "flag-minus-1"])
+    def test_seed_outside_64_bits_exit_one(self, scalar_model_file, tmp_path, capsys,
+                                           flag, file_seed):
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 8], "replicates": 2, "seed": file_seed}))
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study), "-o", str(out),
+                     *flag]) == 1
+        assert "error: seed must be in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
+    def test_non_integer_env_seed_exit_two(self, scalar_model_file, tmp_path, capsys,
+                                           monkeypatch, value):
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 8], "replicates": 2}))
+        monkeypatch.setenv("ENKF_LAB_SEED", value)
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study), "-o", str(out)]) == 2
+        assert "error: ENKF_LAB_SEED takes integers only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override_changes_numbers_not_schema(
         self, scalar_model_file, study_file, tmp_path
     ):
@@ -259,6 +283,31 @@ class TestStudyCommand:
                 else:
                     assert entry["ensemble_gain"] is not None
                     assert entry["exact_gain"] is not None
+
+    def test_dump_skips_the_sizes_where_replicate_0_failed(self, diverging, tmp_path,
+                                                           capsys):
+        # Every replicate fails at N = 4096 only: the other sizes are dumped,
+        # and the summary and failure lines are those of a run without dumps.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_dict(*diverging)))
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 64, 4096], "replicates": 3}))
+        assert main(["study", str(model), str(study), "-o", str(tmp_path / "plain")]) == 1
+        plain = capsys.readouterr()
+        out = tmp_path / "out"
+        assert main(["study", str(model), str(study), "-o", str(out),
+                     "--dump-trajectories"]) == 1
+        dumped = capsys.readouterr()
+        assert dumped.out == plain.out
+        assert dumped.err.splitlines() == [
+            "error: N=4096: replicate 0 failed, so its trajectories are not dumped",
+            *plain.err.splitlines(),
+        ]
+        assert "error: N=4096: 3 of 3 replicates failed" in plain.err
+        assert sorted(p.name for p in (out / "trajectories").iterdir()) == ["n4", "n64"]
+        for n in (4, 64):
+            assert json.loads((out / "trajectories" / f"n{n}" / "index.json")
+                              .read_text())["n"] == n
 
     def test_unknown_metric_exit_two(self, scalar_model_file, tmp_path):
         study = tmp_path / "study.json"

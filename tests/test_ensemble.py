@@ -1,4 +1,5 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from enkf_lab import (
 from enkf_lab.ensemble import _cov_factor
 from enkf_lab.experiment import run_study
 from enkf_lab.jsonio import canonical_json
-from enkf_lab.reference import reference_model, scalar_model
+from enkf_lab.reference import scalar_model
 
-from oracles import gaussian_draw_full_rows
+from oracles import gaussian_draw_blocks
 
 
 class TestEnsembleType:
@@ -131,6 +132,21 @@ class TestDrawKeys:
             if bumped.role == base.role:
                 assert not np.array_equal(draw(base), draw(bumped))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # Such a seed would otherwise alias one inside [0, 2**64).
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            DrawKey(seed, 0, 1, Role.INIT).philox_key()
+        with pytest.raises(ValueError, match="seed must be in"):
+            init_ensemble(seed, 0, 4, GaussianState(np.zeros(1), np.eye(1)))
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    def test_in_range_seed_keys_its_packed_fields(self, seed):
+        payload = struct.pack("<Qqqq", seed, 3, 1, int(Role.DATA_PERTURBATION))
+        expected = np.frombuffer(hashlib.sha256(payload).digest()[:16], dtype="<u8")
+        key = DrawKey(seed, 3, 1, Role.DATA_PERTURBATION).philox_key()
+        assert np.array_equal(key, expected)
+
 
 class TestGaussianDraw:
     """The law of the drawn members, seen through the public draw functions."""
@@ -169,17 +185,13 @@ class TestInitEnsemble:
 
     def test_member_owns_its_counter_words(self, reference):
         # Member i is normals [i*m, (i+1)*m) of the keyed standard_normal
-        # stream, m = 4 here, pushed through the Cholesky factor.
+        # stream, m = 4 here, pushed through the Cholesky factor one
+        # 128-member block at a time; 300 members span three blocks.
         _, init = reference
-        ens = init_ensemble(9, 4, 5, init)
-        bits = np.random.Philox(key=DrawKey(9, 4, 0, Role.INIT).philox_key())
-        z = np.random.Generator(bits).standard_normal(20)
-        factor = np.linalg.cholesky(init.cov)
-        for i in range(5):
-            expected = init.mean.copy()
-            for k in range(4):
-                expected += factor[:, k] * z[4 * i + k]
-            assert np.array_equal(ens[:, i], expected)
+        ens = init_ensemble(9, 4, 300, init)
+        key = DrawKey(9, 4, 0, Role.INIT).philox_key()
+        expected = gaussian_draw_blocks(key, 300, init.mean, np.linalg.cholesky(init.cov))
+        assert ens.tobytes() == expected.tobytes()
 
     def test_degenerate_prior_collapses(self):
         init = GaussianState(mean=[2.0, -1.0], cov=np.zeros((2, 2)))
@@ -282,6 +294,11 @@ class TestPrefixPropertyRandomSizes:
     @given(**sizes)
     @example(m=1, n=2, extra=598, seed=0, replicate=0)
     @example(m=3, n=17, extra=100, seed=1, replicate=2)
+    # Sizes at the edges of the 128-member blocks of G z.
+    @example(m=4, n=127, extra=1, seed=5, replicate=0)
+    @example(m=12, n=128, extra=1, seed=6, replicate=3)
+    @example(m=1, n=129, extra=383, seed=7, replicate=9)
+    @example(m=7, n=257, extra=342, seed=8, replicate=1)
     def test_init_ensemble(self, m, n, extra, seed, replicate):
         big_n = min(n + extra, 600)
         mean, cov = _random_gaussian(seed, m)
@@ -293,6 +310,8 @@ class TestPrefixPropertyRandomSizes:
     @settings(max_examples=60, deadline=None)
     @given(**sizes, k=st.integers(1, 50))
     @example(m=5, n=2, extra=598, seed=3, replicate=1, k=1)
+    @example(m=3, n=128, extra=129, seed=4, replicate=2, k=7)
+    @example(m=2, n=257, extra=1, seed=9, replicate=5, k=3)
     def test_perturb_data(self, m, n, extra, seed, replicate, k):
         big_n = min(n + extra, 600)
         d, r = _random_gaussian(seed, m)
@@ -307,7 +326,7 @@ class TestBatchedDraw:
 
     batches = dict(
         m=st.integers(1, 7),
-        n=st.integers(2, 40),
+        n=st.integers(2, 300),  # up to three blocks of G z
         replicates=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
         seed=st.integers(0, 2**63 - 1),
         zeros=st.lists(st.sampled_from([0.0, -0.0, None]), min_size=7, max_size=7),
@@ -350,38 +369,15 @@ class TestBatchedDraw:
         factor, _ = _cov_factor(init.cov)
         batched = init_ensemble(11, [3, 0, 3], 7, init)
         fresh = np.stack([
-            gaussian_draw_full_rows(DrawKey(11, r, 0, Role.INIT).philox_key(),
-                                    7, init.mean, factor)
+            gaussian_draw_blocks(DrawKey(11, r, 0, Role.INIT).philox_key(),
+                                 7, init.mean, factor)
             for r in (3, 0, 3)
         ])
         assert batched.tobytes() == fresh.tobytes()
 
 
-class TestTriangularAccumulate:
-    """mean + G z over the lower triangle of G gives the bytes of the sum
-    over every row, kept in oracles.gaussian_draw_full_rows."""
-
-    @pytest.mark.parametrize("mean, cov", [
-        ([-0.0, 1.0, -0.0], np.zeros((3, 3))),
-        ([0.0, -0.0, 2.0], np.zeros((3, 3))),
-        ([-0.0, -0.0], np.diag([1.0, 0.0])),
-        ([0.0, -0.0], np.diag([1.0, 0.0])),
-        ([0.0, 0.0], np.diag([1.0, 0.0])),
-        (reference_model()[1].mean, reference_model()[1].cov),
-    ], ids=["zero-cov-neg-zero", "zero-cov-mixed-zeros", "singular-neg-zeros",
-            "singular-mixed-zeros", "singular-pos-zeros", "reference"])
-    def test_matches_full_rows(self, mean, cov):
-        init = GaussianState(mean, cov)
-        factor, _ = _cov_factor(init.cov)
-        for replicate in range(4):
-            drawn = init_ensemble(11, replicate, 16, init)
-            key = DrawKey(11, replicate, 0, Role.INIT).philox_key()
-            expected = gaussian_draw_full_rows(key, 16, init.mean, factor)
-            assert drawn.tobytes() == expected.tobytes()
-
-
 RAW_WORDS_DIGEST = "6b5647362e92995e2e6b43d610dd5c5854e52a8081172cb82e020438237060da"
-TINY_REPORT_DIGEST = "756553a82c89c027114190daa6581a314c350dcf1174bdcda72ab6ba21b7b4a7"
+TINY_REPORT_DIGEST = "ce79965f5ff1b8e5845d6542b13f2b314ce4348b80ea5e4d2f3d07efe395bcc9"
 
 
 class TestDrawSchemeGolden:
@@ -408,7 +404,7 @@ class TestDrawSchemeGolden:
         config = StudyConfig(model=model, init=init, seed=0, n_grid=(4, 8, 16),
                              replicates=3, p_list=(2.0,))
         report = run_study(config).to_dict()
-        assert report["metadata"]["draw_scheme"] == 3
+        assert report["metadata"]["draw_scheme"] == 4
         del report["metadata"]["timestamp"]
         digest = hashlib.sha256(canonical_json(report).encode()).hexdigest()
         assert digest == TINY_REPORT_DIGEST

@@ -313,6 +313,8 @@ class TestStudyConfig:
             ("p_list", (float("nan"),), "finite"),
             ("p_list", (2.0, float("inf")), "finite"),
             ("metrics", (Metric.GAIN_ERR, Metric.MEAN_ERR, Metric.GAIN_ERR), "distinct"),
+            ("seed", 2**64, r"seed must be in \[0, 2\*\*64\)"),
+            ("seed", -1, r"seed must be in \[0, 2\*\*64\)"),
         ],
     )
     def test_rejected_not_coerced(self, scalar, field, value, match):
