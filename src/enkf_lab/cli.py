@@ -161,8 +161,8 @@ def _dump_trajectories(out: Path, config: StudyConfig, failures: dict) -> None:
                     "k": state.step,
                     "x": x_name,
                     "u": u_name,
-                    "ensemble_gain": state.ensemble_gain,
-                    "exact_gain": state.exact_gain,
+                    "ensemble_gain": None if state.step == 0 else state.ensemble_gain.tolist(),
+                    "exact_gain": None if state.step == 0 else state.exact_gain.tolist(),
                 }
             )
         write_canonical_json(n_dir / "index.json", index)

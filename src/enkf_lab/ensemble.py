@@ -36,7 +36,7 @@ import numpy as np
 # every pool worker, forked anew for each study, would import it again.
 from numpy.random import Generator, Philox
 
-from .model import GaussianState
+from .model import GaussianState, _cov_factor
 
 _KEY_STRUCT = struct.Struct("<Qqqq")
 _HEADER_STRUCT = struct.Struct("<qq")
@@ -46,10 +46,6 @@ DRAW_SCHEME = 4
 
 # Members per matrix product of a draw; part of the draw scheme.
 _BLOCK = 128
-
-# Jitter scales tried (relative to mean diagonal) when factoring a
-# semidefinite covariance; PSD inputs such as a singular prior are legal.
-_JITTER_SCALES = (1e-14, 1e-12, 1e-10)
 
 
 class Role(IntEnum):
@@ -103,31 +99,6 @@ def sample_cov(x: np.ndarray) -> np.ndarray:
     centered = x - x.mean(axis=-1, keepdims=True)
     cov = (centered @ centered.mT) / x.shape[-1]
     return 0.5 * (cov + cov.mT)
-
-
-def _cov_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower-triangular G with G G^T = cov, and the jitter eps it took.
-
-    A semidefinite cov is factored as cov + eps * mean(diag(cov)) * I with
-    the first eps of _JITTER_SCALES that works; eps is 0.0 when none was
-    needed.
-    """
-    if not cov.any():
-        return np.zeros_like(cov), 0.0
-    try:
-        return np.linalg.cholesky(cov), 0.0
-    except np.linalg.LinAlgError:
-        pass
-    base = np.trace(cov) / cov.shape[0]
-    eye = np.eye(cov.shape[0])
-    for eps in _JITTER_SCALES:
-        try:
-            return np.linalg.cholesky(cov + (eps * base) * eye), eps
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError(
-        "covariance factorization failed even after jitter fallback"
-    )
 
 
 def _draw_ensemble(

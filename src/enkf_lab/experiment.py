@@ -35,10 +35,10 @@ import numpy as np
 from .enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
 # coupled_run and sample_cov are not called here; bench/spans.py wraps them.
 from .enkf import chunk_errors, coupled_run
-from .ensemble import DRAW_SCHEME, _check_seed, _cov_factor, sample_cov
-from .jsonio import canonical_json, format_float, write_canonical_json
+from .ensemble import DRAW_SCHEME, _check_seed, sample_cov
+from .jsonio import canonical_json, write_canonical_json
 from .kf import kf_run
-from .model import GaussianState, LinearModel, model_to_dict
+from .model import GaussianState, LinearModel, _cov_factor, model_to_dict
 
 # Moment estimates across the N-grid exceeding this max/min ratio raise the
 # no-explosion flag (an empirical boundedness check, not a proof).
@@ -122,6 +122,8 @@ class StudyConfig:
             raise ValueError("n_grid must be strictly increasing")
         if self.replicates < 2:
             raise ValueError("replicates must be >= 2")
+        if not self.p_list:
+            raise ValueError("at least one moment order is required")
         if not all(1 <= p < np.inf for p in self.p_list):
             raise ValueError("moment orders must all be finite and >= 1")
         if len(set(self.p_list)) < len(self.p_list):
@@ -297,6 +299,13 @@ class MomentFlagRow:
     max_over_min: float
 
 
+def _row_dict(row) -> dict:
+    # JSON has no NaN or infinity: an undefined stderr or an unbounded
+    # moment ratio is written as null.
+    return {key: None if isinstance(value, float) and not math.isfinite(value) else value
+            for key, value in vars(row).items()}
+
+
 @dataclass
 class ConvergenceReport:
     metadata: dict
@@ -319,9 +328,9 @@ class ConvergenceReport:
     def to_dict(self) -> dict:
         return {
             "metadata": self.metadata,
-            "estimates": [vars(row) for row in self.estimates],
-            "rates": [vars(row) for row in self.rates],
-            "moment_flags": [vars(row) for row in self.moment_flags],
+            "estimates": [_row_dict(row) for row in self.estimates],
+            "rates": [_row_dict(row) for row in self.rates],
+            "moment_flags": [_row_dict(row) for row in self.moment_flags],
         }
 
     def write_json(self, path) -> None:
@@ -331,19 +340,15 @@ class ConvergenceReport:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("metric,k,N,estimate,stderr\n")
             for row in self.estimates:
-                stderr = "" if np.isnan(row.stderr) else format_float(row.stderr)
-                fh.write(
-                    f"{row.metric},{row.k},{row.n},{format_float(row.estimate)},{stderr}\n"
-                )
+                stderr = "" if np.isnan(row.stderr) else repr(row.stderr)
+                fh.write(f"{row.metric},{row.k},{row.n},{row.estimate!r},{stderr}\n")
 
     def write_rates_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("metric,k,slope,intercept,max_residual\n")
             for row in self.rates:
-                fh.write(
-                    f"{row.metric},{row.k},{format_float(row.slope)},"
-                    f"{format_float(row.intercept)},{format_float(row.max_residual)}\n"
-                )
+                fh.write(f"{row.metric},{row.k},{row.slope!r},{row.intercept!r},"
+                         f"{row.max_residual!r}\n")
 
 
 def _metric_label(metric: Metric, p: float | None = None) -> str:

@@ -1,70 +1,18 @@
-"""Canonical JSON emission: sorted keys, floats at 17 significant digits.
+"""Canonical JSON: sorted keys, two-space indent, floats as their shortest
+round-trip ``repr``.
 
-17 significant digits round-trip 64-bit floats exactly, so identical inputs
-produce byte-identical files, which keeps reports diffable.
+Identical inputs give byte-identical files, which keeps reports diffable.
+JSON has no NaN or infinity, so a non-finite float raises ValueError; the
+callers write an undefined value as None.
 """
 
 from __future__ import annotations
 
 import json
-import math
-
-import numpy as np
-
-
-def format_float(value: float) -> str:
-    return f"{value:.17g}"
-
-
-def _emit(obj, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        value = float(obj)
-        # JSON has no NaN/Inf; non-finite values (e.g. undefined standard
-        # errors) are emitted as null.
-        out.append(format_float(value) if math.isfinite(value) else "null")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, np.ndarray):
-        _emit(obj.tolist(), out, indent)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(item, out, indent + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        keys = sorted(obj)
-        for i, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"canonical JSON requires string keys, got {key!r}")
-            out.append(pad + "  " + json.dumps(key) + ": ")
-            _emit(obj[key], out, indent + 1)
-            out.append(",\n" if i + 1 < len(keys) else "\n")
-        out.append(pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} canonically")
 
 
 def canonical_json(obj) -> str:
-    out: list[str] = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_canonical_json(path, obj) -> None:

@@ -16,9 +16,9 @@ import numpy as np
 # Symmetry is checked relative to the matrix max-norm; the tolerance covers
 # double-precision round-off from ordinary construction.
 SYMMETRY_RTOL = 1e-12
-# Covariances may be semidefinite; eigenvalues are allowed to dip this far
-# (relative to the spectral norm) below zero before being called indefinite.
-PSD_EIG_RTOL = 1e-10
+# Jitter scales tried (relative to mean diagonal) when factoring a
+# semidefinite covariance; PSD inputs such as a singular prior are legal.
+_JITTER_SCALES = (1e-14, 1e-12, 1e-10)
 
 
 class ModelFormatError(ValueError):
@@ -145,14 +145,40 @@ def _is_spd(mat: np.ndarray) -> bool:
     return True
 
 
+def _cov_factor(cov: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower-triangular G with G G^T = cov, and the jitter eps it took.
+
+    A semidefinite cov is factored as cov + eps * mean(diag(cov)) * I with
+    the first eps of _JITTER_SCALES that works; eps is 0.0 when none was
+    needed.
+    """
+    if not cov.any():
+        return np.zeros_like(cov), 0.0
+    try:
+        return np.linalg.cholesky(cov), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    base = np.trace(cov) / cov.shape[0]
+    eye = np.eye(cov.shape[0])
+    for eps in _JITTER_SCALES:
+        try:
+            return np.linalg.cholesky(cov + (eps * base) * eye), eps
+        except np.linalg.LinAlgError:
+            continue
+    raise np.linalg.LinAlgError(
+        "covariance factorization failed even after jitter fallback"
+    )
+
+
 def validate_model(model: LinearModel, init: GaussianState) -> None:
     """Check every constraint of a filtering problem.
 
     Every array must be finite; every step's arrays must match the state and
     observation dimensions, with R symmetric positive definite; the initial
-    state must have the state dimension, with a symmetric positive
-    semidefinite (possibly singular) covariance. An array with non-finite
-    entries skips its symmetry and definiteness checks.
+    state must have the state dimension, with a symmetric covariance that
+    ``_cov_factor`` can factor as the draws do: positive semidefinite,
+    possibly singular. An array with non-finite entries skips its symmetry
+    and definiteness checks.
 
     Raises ValidationError listing every violation, each naming its field
     and, for step fields, its step index (1-based).
@@ -188,10 +214,13 @@ def validate_model(model: LinearModel, init: GaussianState) -> None:
     elif not _is_symmetric(init.cov):
         violations.append("init cov: state covariance is not symmetric")
     else:
-        eigs = np.linalg.eigvalsh(0.5 * (init.cov + init.cov.T))
-        if eigs.min() < -PSD_EIG_RTOL * max(np.abs(eigs).max(), 1e-300):
+        # Semidefinite means what the draws can factor, jitter included.
+        try:
+            _cov_factor(init.cov)
+        except np.linalg.LinAlgError:
+            eig = np.linalg.eigvalsh(init.cov).min()
             violations.append("init cov: state covariance is not positive "
-                              f"semidefinite (min eigenvalue {eigs.min():g})")
+                              f"semidefinite (min eigenvalue {eig:g})")
     if violations:
         raise ValidationError(violations)
 

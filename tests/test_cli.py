@@ -12,11 +12,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import enkf_lab
-from enkf_lab import experiment, model_to_dict, read_ensemble
+from enkf_lab import StudyConfig, experiment, model_to_dict, read_ensemble, run_study
 from enkf_lab.cli import main
 from enkf_lab.reference import scalar_model
 
 from oracles import conjugate_scalar_chain
+
+
+def strict_json(path):
+    """Parse an output file, rejecting the NaN and Infinity that JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"{path} holds the non-JSON constant {constant}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
 
 
 @pytest.fixture
@@ -68,7 +75,7 @@ class TestKfCommand:
     def test_matches_conjugate_oracle(self, scalar_model_file, tmp_path):
         out = tmp_path / "out"
         assert main(["kf", str(scalar_model_file), "-o", str(out)]) == 0
-        payload = json.loads((out / "kf.json").read_text())
+        payload = strict_json(out / "kf.json")
         model, init = scalar_model()
         oracle = conjugate_scalar_chain(model, init)
         assert len(payload["steps"]) == 3
@@ -146,12 +153,38 @@ class TestStudyCommand:
         assert "member_lp_p2" in stdout
         assert "slope=" in stdout
 
-        report = json.loads((out / "report.json").read_text())
+        report = strict_json(out / "report.json")
         assert report["metadata"]["seed"] == 5
         lines = (out / "estimates.csv").read_text().splitlines()
         # per metric and step, one row per grid size
         member_rows = [l for l in lines if l.startswith("member_lp_p2,1,")]
         assert [int(l.split(",")[2]) for l in member_rows] == [4, 8, 16]
+
+    def test_report_carries_the_study_rows_bit_for_bit(self, scalar_model_file,
+                                                       study_file, tmp_path):
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study_file),
+                     "-o", str(out)]) == 0
+        model, init = scalar_model()
+        report = run_study(StudyConfig(model=model, init=init, seed=5, n_grid=(4, 8, 16),
+                                       replicates=3, p_list=(2.0,)))
+
+        def bits(rows):
+            return [{key: value.hex() if isinstance(value, float) else value
+                     for key, value in row.items()} for row in rows]
+
+        parsed = strict_json(out / "report.json")
+        for table in ("estimates", "rates", "moment_flags"):
+            assert bits(parsed[table]) == bits(vars(row) for row in getattr(report, table))
+        lines = (out / "estimates.csv").read_text().splitlines()[1:]
+        assert [[float(v).hex() for v in line.split(",")[3:]] for line in lines] == [
+            [row.estimate.hex(), row.stderr.hex()] for row in report.estimates
+        ]
+        lines = (out / "rates.csv").read_text().splitlines()[1:]
+        assert [[float(v).hex() for v in line.split(",")[2:]] for line in lines] == [
+            [row.slope.hex(), row.intercept.hex(), row.max_residual.hex()]
+            for row in report.rates
+        ]
 
     def test_cov_jitter_noted(self, singular_prior, scalar_model_file, study_file,
                               tmp_path, capsys):
@@ -270,7 +303,7 @@ class TestStudyCommand:
               "--dump-trajectories"])
         for n in (4, 8, 16):
             n_dir = out / "trajectories" / f"n{n}"
-            index = json.loads((n_dir / "index.json").read_text())
+            index = strict_json(n_dir / "index.json")
             assert index["n"] == n
             assert [s["k"] for s in index["steps"]] == [0, 1, 2, 3]
             for entry in index["steps"]:
@@ -408,10 +441,11 @@ class TestStudyCommand:
         "override, message",
         [
             ({"p_list": [2, 2]}, "moment orders must be distinct"),
+            ({"p_list": []}, "at least one moment order is required"),
             ({"p_list": [float("nan")]}, "moment orders must all be finite"),
             ({"metrics": ["mean_err", "mean_err"]}, "metrics must be distinct"),
         ],
-        ids=["duplicate-p", "nan-p", "duplicate-metric"],
+        ids=["duplicate-p", "empty-p", "nan-p", "duplicate-metric"],
     )
     def test_invalid_study_value_exit_one(self, scalar_model_file, tmp_path,
                                           capsys, override, message):

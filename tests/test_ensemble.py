@@ -377,7 +377,7 @@ class TestBatchedDraw:
 
 
 RAW_WORDS_DIGEST = "6b5647362e92995e2e6b43d610dd5c5854e52a8081172cb82e020438237060da"
-TINY_REPORT_DIGEST = "ce79965f5ff1b8e5845d6542b13f2b314ce4348b80ea5e4d2f3d07efe395bcc9"
+TINY_REPORT_DIGEST = "4a7d663c84fb9e71637157b3251e30f852fe89485d1829ca6c5d38be53ac2892"
 
 
 class TestDrawSchemeGolden:

@@ -20,7 +20,13 @@ from enkf_lab import (
     run_study,
 )
 from enkf_lab.enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
-from enkf_lab.experiment import StudyFormatError, config_hash
+from enkf_lab.experiment import (
+    ConvergenceReport,
+    EstimateRow,
+    MomentFlagRow,
+    StudyFormatError,
+    config_hash,
+)
 
 from oracles import lp_estimate_at_step, mean_estimate_at_step, replicate_scalars
 
@@ -652,7 +658,33 @@ class TestReportSerialization:
             for r in parsed["estimates"]
             if r["metric"] == "member_lp_p2" and r["k"] == 1 and r["n"] == 4
         ]
-        assert found[0]["estimate"] == row.estimate  # 17 digits round-trip exactly
+        assert found[0]["estimate"] == row.estimate  # repr round-trips exactly
+
+    def test_non_finite_row_fields_written_as_null(self, tmp_path):
+        # JSON has no NaN or infinity: an undefined standard error and an
+        # unbounded moment ratio become null, and the CSV keeps "" for NaN
+        report = ConvergenceReport(
+            metadata={"seed": 0},
+            estimates=[EstimateRow("mean_err", 0, 4, 0.5, float("nan"))],
+            moment_flags=[MomentFlagRow("moment_p2", 1, True, float("inf"))],
+        )
+        report.write_json(tmp_path / "report.json")
+        parsed = json.loads((tmp_path / "report.json").read_text())
+        assert parsed["estimates"] == [
+            {"metric": "mean_err", "k": 0, "n": 4, "estimate": 0.5, "stderr": None}
+        ]
+        assert parsed["moment_flags"] == [
+            {"metric": "moment_p2", "k": 1, "flagged": True, "max_over_min": None}
+        ]
+        report.write_estimates_csv(tmp_path / "estimates.csv")
+        assert (tmp_path / "estimates.csv").read_text().splitlines()[1] == "mean_err,0,4,0.5,"
+
+    def test_non_finite_metadata_raises(self, tmp_path):
+        # only row fields are mapped to null; anything else non-finite is a
+        # fault that must not pass silently
+        report = ConvergenceReport(metadata={"wall_time_s": float("nan")})
+        with pytest.raises(ValueError):
+            report.write_json(tmp_path / "report.json")
 
     def test_csv_layout(self, scalar, tmp_path):
         report = run_study(

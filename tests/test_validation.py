@@ -53,6 +53,11 @@ INVALID = {
         ("init", "cov"), [[1.0, 2.0], [2.0, 1.0]],
         "init cov: state covariance is not positive semidefinite",
     ),
+    # the draws' jitter cannot make this factorable
+    "beyond-jitter-init-cov": (
+        ("init", "cov"), [[1.0, 0.0], [0.0, -9e-11]],
+        "init cov: state covariance is not positive semidefinite (min eigenvalue -9e-11)",
+    ),
     "asymmetric-init-cov": (
         ("init", "cov"), [[1.0, 0.5], [0.0, 1.0]],
         "init cov: state covariance is not symmetric",
