@@ -32,10 +32,8 @@ from .ensemble import (
     Role,
     init_ensemble,
     perturb_data,
-    read_ensemble,
     sample_cov,
     sample_mean,
-    write_ensemble,
 )
 from .enkf import (
     CoupledState,
@@ -94,12 +92,10 @@ __all__ = [
     "model_from_dict",
     "model_to_dict",
     "perturb_data",
-    "read_ensemble",
     "reference_model",
     "run_study",
     "sample_cov",
     "sample_mean",
     "scalar_model",
     "validate_model",
-    "write_ensemble",
 ]

@@ -23,7 +23,6 @@ from pathlib import Path
 import numpy as np
 
 from .enkf import coupled_run
-from .ensemble import write_ensemble
 from .experiment import Metric, StudyConfig, StudyFormatError, run_study
 from .jsonio import write_canonical_json
 from .kf import kf_run
@@ -62,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_study.add_argument(
         "--dump-trajectories", action="store_true",
-        help="write per-step binary ensemble snapshots of replicate 0 per N",
+        help="write replicate 0's ensembles and gains per N as .npy arrays",
     )
     p_study.add_argument(
         "--workers", type=int, default=1, help="max parallel replicate workers"
@@ -109,6 +108,9 @@ def _build_study_config(
     raw: dict, model: LinearModel, init: GaussianState, cli_seed: int | None
 ) -> StudyConfig:
     # StudyConfig checks the types of the fields it is given.
+    for key in raw:
+        if key not in ("n_grid", "replicates", "p_list", "seed", "metrics"):
+            raise StudyFormatError(f"unknown key {key!r} in study file")
     if "n_grid" not in raw or "replicates" not in raw:
         raise StudyFormatError("study file needs n_grid and replicates")
     metric_names = raw.get("metrics")
@@ -139,33 +141,27 @@ def _build_study_config(
 def _dump_trajectories(out: Path, config: StudyConfig, failures: dict) -> None:
     # Replicate 0 stands in for the whole study; every replicate is
     # regenerable from (seed, replicate, N) anyway. Its chain at N is the
-    # study's, so an N where the study saw it fail is skipped.
+    # study's, so an N where the study saw it fail is skipped. Index k of x
+    # and u is step k, index k - 1 of the gains step k; a 0-step model has
+    # gains of shape (0, m, d).
     trajectory = kf_run(config.model, config.init)
-    root = out / "trajectories"
+    gain_shape = (-1, config.model.state_dim, config.model.obs_dim)
     for n in config.n_grid:
         if any(row["replicate"] == 0 for row in failures.get(str(n), ())):
             print(f"error: N={n}: replicate 0 failed, so its trajectories are not "
                   "dumped", file=sys.stderr)
             continue
         run = coupled_run(config.model, config.init, config.seed, 0, n, trajectory)
-        n_dir = root / f"n{n}"
+        arrays = {
+            "x": np.stack([state.enkf_ensemble for state in run]),
+            "u": np.stack([state.reference_ensemble for state in run]),
+            "ensemble_gain": np.reshape([state.ensemble_gain for state in run[1:]], gain_shape),
+            "exact_gain": np.reshape([state.exact_gain for state in run[1:]], gain_shape),
+        }
+        n_dir = out / "trajectories" / f"n{n}"
         n_dir.mkdir(parents=True, exist_ok=True)
-        index = {"n": n, "replicate": 0, "seed": config.seed, "steps": []}
-        for state in run:
-            x_name = f"step{state.step}.x.bin"
-            u_name = f"step{state.step}.u.bin"
-            write_ensemble(n_dir / x_name, state.enkf_ensemble)
-            write_ensemble(n_dir / u_name, state.reference_ensemble)
-            index["steps"].append(
-                {
-                    "k": state.step,
-                    "x": x_name,
-                    "u": u_name,
-                    "ensemble_gain": None if state.step == 0 else state.ensemble_gain.tolist(),
-                    "exact_gain": None if state.step == 0 else state.exact_gain.tolist(),
-                }
-            )
-        write_canonical_json(n_dir / "index.json", index)
+        for name, array in arrays.items():
+            np.save(n_dir / f"{name}.npy", array)
 
 
 def cmd_study(

@@ -1,11 +1,10 @@
-"""Sample statistics, keyed Gaussian sampling, and ensemble files.
+"""Sample statistics and keyed Gaussian sampling.
 
 An ensemble is an m x N float64 array with the members as columns, N >= 2;
 a (B, m, N) stack holds B ensembles of one size, and the sample statistics
 work slice by slice on it. Single-member ensembles are rejected where
-ensembles enter the program (the draws and ``read_ensemble``): the 1/N
-sample covariance is identically zero there and the size asymptotics are
-meaningless.
+ensembles enter the program, the draws: the 1/N sample covariance is
+identically zero there and the size asymptotics are meaningless.
 
 Draw scheme 4, recorded in study reports as draw_scheme: each draw call is
 keyed by (seed, replicate, step, role), hashed once into a Philox key (Salmon
@@ -28,7 +27,6 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +37,6 @@ from numpy.random import Generator, Philox
 from .model import GaussianState, _cov_factor
 
 _KEY_STRUCT = struct.Struct("<Qqqq")
-_HEADER_STRUCT = struct.Struct("<qq")
 
 # Recorded in study reports and config hashes; bump whenever the bits change.
 DRAW_SCHEME = 4
@@ -159,39 +156,3 @@ def perturb_data(
     if k < 1:
         raise ValueError(f"data perturbations exist only for steps k >= 1, got {k}")
     return _draw_ensemble(seed, replicate, k, Role.DATA_PERTURBATION, n, data, r_cov)
-
-
-# ---------------------------------------------------------------------------
-# Serialization: flat binary (header m, N as little-endian int64, then
-# column-major float64 payload) for checkpointing.
-# ---------------------------------------------------------------------------
-
-
-def write_ensemble(path, ensemble: np.ndarray) -> None:
-    dim, n = ensemble.shape
-    payload = ensemble.astype("<f8").ravel(order="F").tobytes()
-    with open(Path(path), "wb") as fh:
-        fh.write(_HEADER_STRUCT.pack(dim, n))
-        fh.write(payload)
-
-
-def read_ensemble(path) -> np.ndarray:
-    """Read an m x N ensemble; the file must hold N >= 2 finite members."""
-    with open(Path(path), "rb") as fh:
-        header = fh.read(_HEADER_STRUCT.size)
-        if len(header) != _HEADER_STRUCT.size:
-            raise ValueError(f"truncated ensemble file {path}")
-        dim, n = _HEADER_STRUCT.unpack(header)
-        if n < 2:
-            raise ValueError(f"ensemble needs at least 2 members, got {n}")
-        payload = fh.read()
-    expected = dim * n * 8
-    if len(payload) != expected:
-        raise ValueError(
-            f"ensemble file {path} has {len(payload)} payload bytes, expected {expected}"
-        )
-    members = np.frombuffer(payload, dtype="<f8").reshape((dim, n), order="F")
-    if not np.all(np.isfinite(members)):
-        raise ValueError("ensemble entries must be finite")
-    return members.copy()
-

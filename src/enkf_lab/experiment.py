@@ -197,9 +197,10 @@ def member_lp_error(scalars, p: float) -> Estimate:
     """L^p distance of member 1 between the EnKF and reference ensembles,
     per step.
 
-    Only member 1 of each replicate enters, so the replicate values are
-    independent; averaging members within a replicate would correlate terms
-    and bias the standard error.
+    Only member 1 of each replicate enters. A replicate's members share its
+    gain, so a standard error across members would be biased; one across
+    replicates, of member 1 or of a replicate's member average, is valid,
+    because replicates are independent.
     """
     if len(scalars) < 2:
         raise ValueError("member_lp_error needs at least 2 replicates")

@@ -259,6 +259,13 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _check_keys(mapping: dict, allowed: tuple[str, ...], where: str) -> None:
+    # A misspelt optional key would otherwise change the model silently.
+    for key in mapping:
+        if key not in allowed:
+            raise ModelFormatError(f"unknown key {key!r} in {where}")
+
+
 def _is_int(value) -> bool:
     # bool is an int subclass, but true is not a count
     return isinstance(value, int) and not isinstance(value, bool)
@@ -268,6 +275,7 @@ def _expand_step(raw: dict, index: int) -> list[StepSpec]:
     if not isinstance(raw, dict):
         raise ModelFormatError(f"step {index} must be an object")
     where = f"step {index}"
+    _check_keys(raw, ("A", "b", "H", "R", "data", "data_sequence", "repeat"), where)
     base = {name: _require(raw, name, where) for name in ("A", "b", "H", "R")}
     data_sequence = raw.get("data_sequence")
     repeat = raw.get("repeat")
@@ -294,6 +302,7 @@ def model_from_dict(raw: dict) -> tuple[LinearModel, GaussianState]:
     """Build a (model, initial state) pair from a parsed model dict."""
     if not isinstance(raw, dict):
         raise ModelFormatError("model file must contain a JSON object")
+    _check_keys(raw, ("state_dim", "obs_dim", "init", "steps"), "model")
     state_dim = _require(raw, "state_dim", "model")
     obs_dim = _require(raw, "obs_dim", "model")
     if not _is_int(state_dim) or not _is_int(obs_dim):
@@ -307,6 +316,7 @@ def model_from_dict(raw: dict) -> tuple[LinearModel, GaussianState]:
     raw_init = _require(raw, "init", "model")
     if not isinstance(raw_init, dict):
         raise ModelFormatError("init must be an object with mean and cov")
+    _check_keys(raw_init, ("mean", "cov"), "init")
     try:
         init = GaussianState(
             mean=_require(raw_init, "mean", "init"),

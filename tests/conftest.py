@@ -68,8 +68,8 @@ def fail_chains(monkeypatch):
     the other sizes run on. A chain is known by its data: member 1 of every
     perturbed-data draw of the armed replicates is recorded (a draw may serve
     one replicate or a sequence of them), and a stack whose data ensemble
-    starts a row with one of them holds an armed chain. In-process runs only
-    (workers=1).
+    starts a row with one of them holds an armed chain. Pool workers are
+    forked, so they inherit the arming.
     """
     import enkf_lab.enkf as enkf
 

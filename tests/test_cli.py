@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import enkf_lab
-from enkf_lab import StudyConfig, experiment, model_to_dict, read_ensemble, run_study
+from enkf_lab import StudyConfig, coupled_run, experiment, model_to_dict, run_study
 from enkf_lab.cli import main
 from enkf_lab.reference import scalar_model
 
@@ -69,6 +69,15 @@ class TestValidateCommand:
         path = tmp_path / "noschema.json"
         path.write_text(json.dumps({"state_dim": 1}))
         assert main(["validate", str(path)]) == 2
+
+    def test_unknown_model_key_exit_two(self, tmp_path, capsys):
+        # "repaet": 40 used to be ignored, leaving a 1-step model.
+        raw = model_to_dict(*scalar_model())
+        raw["steps"][0]["repaet"] = 40
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown key 'repaet' in step 0\n"
 
 
 class TestKfCommand:
@@ -298,24 +307,45 @@ class TestStudyCommand:
 
     def test_dump_trajectories_round_trip(self, scalar_model_file, study_file,
                                           tmp_path):
-        out = tmp_path / "out"
-        main(["study", str(scalar_model_file), str(study_file), "-o", str(out),
-              "--dump-trajectories"])
+        # Every slice is replicate 0's coupled run at N, bit for bit, and a
+        # rerun writes the same bytes.
+        model, init = scalar_model()
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert main(["study", str(scalar_model_file), str(study_file), "-o", str(out),
+                         "--dump-trajectories"]) == 0
+        names = ["ensemble_gain.npy", "exact_gain.npy", "u.npy", "x.npy"]
         for n in (4, 8, 16):
-            n_dir = out / "trajectories" / f"n{n}"
-            index = strict_json(n_dir / "index.json")
-            assert index["n"] == n
-            assert [s["k"] for s in index["steps"]] == [0, 1, 2, 3]
-            for entry in index["steps"]:
-                x = read_ensemble(n_dir / entry["x"])
-                u = read_ensemble(n_dir / entry["u"])
-                assert x.shape == u.shape == (1, n)
-                if entry["k"] == 0:
-                    assert np.array_equal(x, u)
-                    assert entry["ensemble_gain"] is None
-                else:
-                    assert entry["ensemble_gain"] is not None
-                    assert entry["exact_gain"] is not None
+            dirs = [out / "trajectories" / f"n{n}" for out in outs]
+            assert sorted(p.name for p in dirs[0].iterdir()) == names
+            for name in names:
+                assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+            dump = {name[:-4]: np.load(dirs[0] / name) for name in names}
+            assert dump["x"].shape == dump["u"].shape == (4, 1, n)
+            assert dump["ensemble_gain"].shape == dump["exact_gain"].shape == (3, 1, 1)
+            run = coupled_run(model, init, 5, 0, n)
+            for state in run:
+                k = state.step
+                assert dump["x"][k].tobytes() == state.enkf_ensemble.tobytes()
+                assert dump["u"][k].tobytes() == state.reference_ensemble.tobytes()
+                if k:
+                    assert dump["ensemble_gain"][k - 1].tobytes() == state.ensemble_gain.tobytes()
+                    assert dump["exact_gain"][k - 1].tobytes() == state.exact_gain.tobytes()
+
+    def test_dump_of_a_zero_step_model(self, empty_scalar, tmp_path):
+        # No step, no gain: the gains are empty stacks of the gain's shape.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_dict(*empty_scalar)))
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 8], "replicates": 2}))
+        out = tmp_path / "out"
+        assert main(["study", str(model), str(study), "-o", str(out),
+                     "--dump-trajectories"]) == 0
+        n_dir = out / "trajectories" / "n4"
+        assert np.load(n_dir / "x.npy").shape == np.load(n_dir / "u.npy").shape == (1, 1, 4)
+        for name in ("ensemble_gain.npy", "exact_gain.npy"):
+            gain = np.load(n_dir / name)
+            assert gain.shape == (0, 1, 1) and gain.dtype == np.float64
 
     def test_dump_skips_the_sizes_where_replicate_0_failed(self, diverging, tmp_path,
                                                            capsys):
@@ -339,8 +369,7 @@ class TestStudyCommand:
         assert "error: N=4096: 3 of 3 replicates failed" in plain.err
         assert sorted(p.name for p in (out / "trajectories").iterdir()) == ["n4", "n64"]
         for n in (4, 64):
-            assert json.loads((out / "trajectories" / f"n{n}" / "index.json")
-                              .read_text())["n"] == n
+            assert np.load(out / "trajectories" / f"n{n}" / "x.npy").shape == (2, 1, n)
 
     def test_unknown_metric_exit_two(self, scalar_model_file, tmp_path):
         study = tmp_path / "study.json"
@@ -367,6 +396,8 @@ class TestStudyCommand:
             {"metrics": "member_lp"},
             {"p_list": ["2"]},
             {"seed": 1.5},
+            {"seeed": 5},
+            {"p_lists": [3]},
         ],
         ids=lambda override: json.dumps(override),
     )

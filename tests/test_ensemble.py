@@ -13,10 +13,8 @@ from enkf_lab import (
     StudyConfig,
     init_ensemble,
     perturb_data,
-    read_ensemble,
     sample_cov,
     sample_mean,
-    write_ensemble,
 )
 from enkf_lab.ensemble import _cov_factor
 from enkf_lab.experiment import run_study
@@ -24,30 +22,6 @@ from enkf_lab.jsonio import canonical_json
 from enkf_lab.reference import scalar_model
 
 from oracles import gaussian_draw_blocks
-
-
-class TestEnsembleType:
-    """An ensemble is an m x N array of N >= 2 finite members; the check is
-    made where one enters the program from a file."""
-
-    def test_single_member_rejected(self, tmp_path):
-        path = tmp_path / "ens.bin"
-        write_ensemble(path, np.zeros((3, 1)))
-        with pytest.raises(ValueError, match="at least 2"):
-            read_ensemble(path)
-
-    def test_non_finite_rejected(self, tmp_path):
-        bad = np.zeros((2, 3))
-        bad[1, 2] = np.nan
-        path = tmp_path / "ens.bin"
-        write_ensemble(path, bad)
-        with pytest.raises(ValueError, match="finite"):
-            read_ensemble(path)
-
-    def test_shape_properties(self, tmp_path):
-        path = tmp_path / "ens.bin"
-        write_ensemble(path, np.zeros((3, 5)))
-        assert read_ensemble(path).shape == (3, 5)
 
 
 class TestSampleStatistics:
@@ -243,30 +217,6 @@ class TestPerturbData:
         a = init_ensemble(5, 0, 4, GaussianState(np.zeros(2), np.eye(2)))
         b = perturb_data(5, 0, 1, 4, np.zeros(2), np.eye(2))
         assert not np.allclose(a, b)
-
-
-class TestSerialization:
-    def test_binary_round_trip_bit_exact(self, tmp_path, rng):
-        ens = rng.standard_normal((3, 7))
-        path = tmp_path / "ens.bin"
-        write_ensemble(path, ens)
-        back = read_ensemble(path)
-        assert np.array_equal(back, ens)
-
-    def test_binary_layout(self, tmp_path):
-        ens = np.array([[1.0, 2.0], [3.0, 4.0]])
-        path = tmp_path / "ens.bin"
-        write_ensemble(path, ens)
-        raw = path.read_bytes()
-        assert np.frombuffer(raw[:16], dtype="<i8").tolist() == [2, 2]
-        # column-major payload: member 0 first
-        assert np.frombuffer(raw[16:], dtype="<f8").tolist() == [1.0, 3.0, 2.0, 4.0]
-
-    def test_truncated_file_rejected(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"\x02" + b"\x00" * 10)
-        with pytest.raises(ValueError, match="truncated"):
-            read_ensemble(path)
 
 
 def _random_gaussian(seed: int, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -434,8 +434,8 @@ class TestRunStudy:
     def test_chunking_does_not_change_the_report(self, scalar, monkeypatch, tmp_path,
                                                  fail_chains):
         # chunks of 1, uneven chunks of 2, one chunk, and two workers' even
-        # shares (3 + 2) write the same files, byte for byte; so do the
-        # in-process chunkings when replicates fail
+        # shares (3 + 2) write the same files, byte for byte; so do they all
+        # when replicates fail, since forked workers inherit the failures
         import enkf_lab.enkf as enkf
         import enkf_lab.experiment as experiment
 
@@ -482,7 +482,8 @@ class TestRunStudy:
 
         monkeypatch.setattr(enkf, "perturb_data", broken)
         failing = [written(elements, case="failing") for elements in (1, 32, 10**9)]
-        assert failing[0] == failing[1] == failing[2] != one_each
+        failing.append(written(10**9, workers=2, case="failing"))
+        assert failing[0] == failing[1] == failing[2] == failing[3] != one_each
         failures = json.loads(failing[0]["report.json"])["metadata"]["failures"]
         assert {n: [f["replicate"] for f in failed] for n, failed in failures.items()} == {
             "4": [4], "8": [1, 3, 4], "16": [4]}

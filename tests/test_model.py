@@ -247,3 +247,17 @@ class TestModelFiles:
             raw[field] = True
         with pytest.raises(ModelFormatError, match=field):
             model_from_dict(raw)
+
+    @pytest.mark.parametrize("place, key, where", [
+        ("model", "stpes", "model"),
+        ("init", "covariance", "init"),
+        ("step", "repaet", "step 0"),
+    ])
+    def test_unknown_key_is_format_error(self, place, key, where):
+        # A misspelt key would otherwise be ignored: "repaet": 40 gave a
+        # 1-step model.
+        raw = self.model_dict()
+        target = {"model": raw, "init": raw["init"], "step": raw["steps"][0]}[place]
+        target[key] = 40
+        with pytest.raises(ModelFormatError, match=f"unknown key '{key}' in {where}$"):
+            model_from_dict(raw)
