@@ -6,6 +6,9 @@ ensemble: X is updated with the gain computed from its own forecast sample
 covariance, the reference ensemble U with the exact Kalman gain. Each step
 draws a single perturbed-data ensemble and feeds it to both updates, so
 member-wise differences X_i - U_i isolate the sampling error of the gain.
+With affine dynamics and no process noise, the forecast sample covariance of
+X is A C A^T of its analysis sample covariance C, which each state carries:
+a step forms one sample covariance, of its X analysis.
 
 The step functions take one m x N ensemble array or a (B, m, N) stack of
 ensembles of one size and treat each slice of a stack exactly as they would
@@ -23,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensemble import init_ensemble, perturb_data, sample_cov, sample_mean
-from .kf import KalmanTrajectory, kf_gain, kf_run
+from .kf import KalmanTrajectory, _forecast_cov, kf_gain, kf_run
 from .model import GaussianState, LinearModel, apply_model
 
 # Test hook: maps a step index to a replacement for the forecast sample
@@ -33,15 +36,18 @@ CovOverride = Callable[[int], np.ndarray]
 
 @dataclass(frozen=True, eq=False)
 class CoupledState:
-    """Both ensembles after step ``step``, with the gains of the last analysis.
+    """Both ensembles after step ``step``, with ``sample_cov(enkf_ensemble)``
+    and the gains of the last analysis.
 
-    The ensembles may be stacks of B chains, with a stack of B ensemble gains
-    and the one exact gain of the step. At step 0 the ensembles are one and
-    the same array; the gains are None because no analysis has happened yet.
+    The ensembles may be stacks of B chains, with stacks of B covariances and
+    B ensemble gains, and the one exact gain of the step. At step 0 the
+    ensembles are one and the same array; the gains are None because no
+    analysis has happened yet.
     """
 
     enkf_ensemble: np.ndarray
     reference_ensemble: np.ndarray
+    enkf_cov: np.ndarray
     step: int
     ensemble_gain: np.ndarray | None = None
     exact_gain: np.ndarray | None = None
@@ -57,7 +63,11 @@ def enkf_analysis(
             f"forecast has {forecast.shape[-1]} members but data ensemble has "
             f"{data_ensemble.shape[-1]}"
         )
-    return forecast + gain @ (data_ensemble - H @ forecast)
+    # forecast + gain @ (data_ensemble - H @ forecast), bit for bit, in product buffers.
+    innovation = H @ forecast
+    out = gain @ np.subtract(data_ensemble, innovation, out=innovation)
+    out += forecast
+    return out
 
 
 def coupled_step(
@@ -72,23 +82,27 @@ def coupled_step(
     The caller draws ``data_ensemble`` once for step ``state.step + 1``, and
     this one matrix feeds both analyses. The exact gain comes from the
     precomputed filter trajectory (it does not depend on the ensemble), and
-    the ensemble gain from the forecast sample covariance of X, unless the
-    ``forecast_cov_override`` test hook substitutes another matrix.
+    the ensemble gain from the forecast sample covariance of X, taken as
+    A C A^T of the carried covariance C (equal up to rounding), unless the
+    ``forecast_cov_override`` test hook substitutes another matrix. The X
+    analysis's sample covariance is formed before U is touched, while X is
+    still in cache. At step 1 X and U are one array and share a forecast.
     """
     k = state.step + 1
     step = model.step(k)
     x_forecast = apply_model(model, k, state.enkf_ensemble)
-    u_forecast = apply_model(model, k, state.reference_ensemble)
-    if forecast_cov_override is not None:
-        forecast_cov = forecast_cov_override(k)
-    else:
-        forecast_cov = sample_cov(x_forecast)
+    forecast_cov = (_forecast_cov(step.A, state.enkf_cov) if forecast_cov_override is None
+                    else forecast_cov_override(k))
     gain = kf_gain(forecast_cov, step.H, step.R)
+    x = enkf_analysis(x_forecast, data_ensemble, gain, step.H)
+    x_cov = sample_cov(x)
+    u_forecast = (x_forecast if state.reference_ensemble is state.enkf_ensemble
+                  else apply_model(model, k, state.reference_ensemble))
     exact = kf_trajectory.gain(k)
     return CoupledState(
-        enkf_ensemble=enkf_analysis(x_forecast, data_ensemble, gain, step.H),
+        enkf_ensemble=x,
         reference_ensemble=enkf_analysis(u_forecast, data_ensemble, exact, step.H),
-        step=k, ensemble_gain=gain, exact_gain=exact,
+        enkf_cov=x_cov, step=k, ensemble_gain=gain, exact_gain=exact,
     )
 
 
@@ -111,7 +125,7 @@ def coupled_run(
     if kf_trajectory is None:
         kf_trajectory = kf_run(model, init)
     initial = init_ensemble(seed, replicate, n, init)
-    states = [CoupledState(enkf_ensemble=initial, reference_ensemble=initial, step=0)]
+    states = [CoupledState(initial, initial, sample_cov(initial), step=0)]
     for k, step in enumerate(model.steps, start=1):
         data = perturb_data(seed, replicate, k, n, step.data, step.R)
         states.append(
@@ -142,7 +156,7 @@ def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
         MEMBER_DIFF: member - state.reference_ensemble[..., 0],
         MEMBER_NORM: member,
         MEAN_ERR: sample_mean(x) - exact.mean,
-        COV_ERR: (sample_cov(x) - exact.cov).reshape(batch + (-1,)),
+        COV_ERR: (state.enkf_cov - exact.cov).reshape(batch + (-1,)),
     }
     if state.ensemble_gain is not None:
         gain_diff = state.ensemble_gain - state.exact_gain
@@ -214,7 +228,7 @@ def chunk_errors(
             n = n_grid[j]
             data = np.ascontiguousarray(draws[..., :n])
             try:
-                states[n] = (CoupledState(data, data, step=0) if k == 0
+                states[n] = (CoupledState(data, data, sample_cov(data), step=0) if k == 0
                              else coupled_step(states[n], model, data, kf_trajectory))
                 rows = _errors(states[n], exact)
                 # The one finiteness check of a state; no gain at step 0.

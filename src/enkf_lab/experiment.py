@@ -38,7 +38,7 @@ from .enkf import chunk_errors, coupled_run
 from .ensemble import DRAW_SCHEME, _check_seed, sample_cov
 from .jsonio import canonical_json, write_canonical_json
 from .kf import kf_run
-from .model import GaussianState, LinearModel, _cov_factor, model_to_dict
+from .model import GaussianState, LinearModel, _cov_factor
 
 # Moment estimates across the N-grid exceeding this max/min ratio raise the
 # no-explosion flag (an empirical boundedness check, not a proof).
@@ -254,17 +254,15 @@ def fit_rate(points) -> RateFit:
         raise ValueError(
             f"rate fit needs at least 3 positive points, got {len(positive)}"
         )
-    log_n = np.log([float(n) for n, _ in positive])
-    log_e = np.log([e for _, e in positive])
-    slope, intercept = np.polyfit(log_n, log_e, 1)
-    residuals = np.abs(log_e - (slope * log_n + intercept))
-    return RateFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        max_residual=float(residuals.max()),
-        points_used=len(positive),
-        dropped_nonpositive=len(points) - len(positive),
-    )
+    # The closed form about the centroid, in Python floats.
+    log_n = [math.log(n) for n, _ in positive]
+    log_e = [math.log(e) for _, e in positive]
+    mean_n, mean_e = math.fsum(log_n) / len(log_n), math.fsum(log_e) / len(log_e)
+    dev = [x - mean_n for x in log_n]
+    slope = math.fsum(d * y for d, y in zip(dev, log_e)) / math.fsum(d * d for d in dev)
+    intercept = mean_e - slope * mean_n
+    residual = max(abs(y - (slope * x + intercept)) for x, y in zip(log_n, log_e))
+    return RateFit(slope, intercept, residual, len(positive), len(points) - len(positive))
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +357,32 @@ def _metric_label(metric: Metric, p: float | None = None) -> str:
     return f"{metric.value}_p{p_txt}"
 
 
-def config_hash(config: StudyConfig) -> str:
-    payload = {
-        "model": model_to_dict(config.model, config.init),
+def _scalar_fields(config: StudyConfig) -> dict:
+    # The study's scalar fields, as the report's metadata records them.
+    return {
         "seed": config.seed,
         "n_grid": list(config.n_grid),
         "replicates": config.replicates,
         "p_list": list(config.p_list),
         "metrics": [m.value for m in config.metrics],
+        "steps": len(config.model.steps),
+        "state_dim": config.model.state_dim,
+        "obs_dim": config.model.obs_dim,
         "draw_scheme": DRAW_SCHEME,
     }
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def config_hash(config: StudyConfig) -> str:
+    """SHA-256 of the study's scalar fields as canonical JSON, then of the
+    little-endian float64 bytes of every model array: init mean and cov,
+    then A, b, H, R and data of each step. The scalars fix every shape."""
+    digest = hashlib.sha256(canonical_json(_scalar_fields(config)).encode())
+    arrays = [config.init.mean, config.init.cov]
+    arrays += [getattr(step, name) for step in config.model.steps
+               for name in ("A", "b", "H", "R", "data")]
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def _chunk_task(args):
@@ -482,16 +495,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
             moment_flags.append(MomentFlagRow(label, k, ratio > MOMENT_FLAG_RATIO, ratio))
 
     metadata = {
-        "seed": config.seed,
+        **_scalar_fields(config),
         "config_hash": config_hash(config),
-        "n_grid": list(config.n_grid),
-        "replicates": config.replicates,
-        "p_list": list(config.p_list),
-        "metrics": [m.value for m in config.metrics],
-        "steps": len(config.model.steps),
-        "state_dim": config.model.state_dim,
-        "obs_dim": config.model.obs_dim,
-        "draw_scheme": DRAW_SCHEME,
         "failures": failures,
         # Everything volatile between reruns lives under this one key.
         "timestamp": {

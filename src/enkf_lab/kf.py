@@ -22,10 +22,13 @@ def kf_forecast(prior: GaussianState, model: LinearModel, k: int) -> GaussianSta
     covariance A Q A^T (the dynamics carry no process noise).
     """
     step = model.step(k)
-    mean = step.A @ prior.mean + step.b
-    cov = step.A @ prior.cov @ step.A.T
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean, cov)
+    return GaussianState(step.A @ prior.mean + step.b, _forecast_cov(step.A, prior.cov))
+
+
+def _forecast_cov(A: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """A Q A^T, symmetrized, of Q or of each slice of a (B, m, m) stack of Q."""
+    cov = A @ cov @ A.T
+    return 0.5 * (cov + cov.mT)
 
 
 def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:

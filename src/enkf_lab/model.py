@@ -236,7 +236,9 @@ def apply_model(model: LinearModel, k: int, states: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"states must have {model.state_dim} rows, got shape {states.shape}"
         )
-    return step.A @ states + step.b[:, None]
+    out = step.A @ states
+    out += step.b[:, None]
+    return out
 
 
 # ---------------------------------------------------------------------------

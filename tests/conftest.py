@@ -36,10 +36,12 @@ def empty_scalar():
 
 @pytest.fixture(scope="session")
 def diverging():
-    """One scalar step with A = 1e153: the exact filter stays finite, but the
-    forecast members reach about 1e153, so the N = 4096 forecast sample
-    covariance overflows."""
-    step = StepSpec(A=[[1e153]], b=[0.0], H=[[1.0]], R=[[1.0]], data=[0.0])
+    """One unobserved scalar step with A = 1e153: the exact filter stays
+    finite (variance 1e306), and both gains are 0, so the members keep their
+    forecast values of about 1e153. The sum of their 4096 squares overflows,
+    and with it the N = 4096 analysis sample covariance; at N = 4 and 64 it
+    stays finite."""
+    step = StepSpec(A=[[1e153]], b=[0.0], H=[[0.0]], R=[[1.0]], data=[0.0])
     model = LinearModel(steps=(step,), state_dim=1, obs_dim=1)
     return model, GaussianState(mean=[0.0], cov=[[1.0]])
 

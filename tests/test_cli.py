@@ -440,7 +440,7 @@ class TestStudyCommand:
         assert {row["n"] for row in report["estimates"]} == {4, 8, 16}
 
     def test_diverging_chain_reported_and_exit_one(self, diverging, tmp_path, capsys):
-        # the N = 4096 forecast covariance overflows: every replicate fails
+        # the N = 4096 sample covariance overflows: every replicate fails
         # there, and the report is still written
         model = tmp_path / "model.json"
         model.write_text(json.dumps(model_to_dict(*diverging)))

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,16 +9,20 @@ from conftest import random_spd
 from oracles import coupled_scalars
 
 from enkf_lab import (
+    CoupledState,
     GaussianState,
     LinearModel,
     StepSpec,
+    StudyConfig,
     apply_model,
     coupled_run,
     coupled_step,
     enkf_analysis,
+    init_ensemble,
     kf_gain,
     kf_run,
     perturb_data,
+    run_study,
     sample_cov,
     sample_mean,
 )
@@ -39,13 +45,14 @@ class TestForecastAndGain:
 
     def test_gain_is_kf_gain_on_same_input(self, reference, reference_kf):
         # the ensemble gain is the exact-gain formula and solver applied to
-        # the forecast sample covariance, entry for entry
+        # the forecast sample covariance, taken as A C A^T (symmetrized) of
+        # the previous analysis sample covariance C, entry for entry
         model, init = reference
         run = coupled_run(model, init, 2, 1, 12, kf_trajectory=reference_kf)
         for k in range(1, len(run)):
             step = model.step(k)
-            xf = apply_model(model, k, run[k - 1].enkf_ensemble)
-            expected = kf_gain(sample_cov(xf), step.H, step.R)
+            forecast_cov = step.A @ sample_cov(run[k - 1].enkf_ensemble) @ step.A.T
+            expected = kf_gain(0.5 * (forecast_cov + forecast_cov.T), step.H, step.R)
             assert np.array_equal(run[k].ensemble_gain, expected)
 
     def test_scalar_gain_value(self, scalar, scalar_kf):
@@ -420,3 +427,102 @@ class TestStackedChains:
             assert np.array_equal(state.ensemble_gain, state.exact_gain)
             assert np.array_equal(state.enkf_ensemble,
                                   state.reference_ensemble)
+
+
+def _random_model(m=6, d=3, steps=4, seed=23):
+    """m states, d observations, contracting dynamics."""
+    rng = np.random.default_rng(seed)
+    specs = tuple(
+        StepSpec(A=0.9 * rng.standard_normal((m, m)) / np.sqrt(m), b=rng.standard_normal(m),
+                 H=rng.standard_normal((d, m)), R=random_spd(rng, d),
+                 data=rng.standard_normal(d))
+        for _ in range(steps)
+    )
+    init = GaussianState(mean=rng.standard_normal(m), cov=random_spd(rng, m))
+    return LinearModel(steps=specs, state_dim=m, obs_dim=d), init
+
+
+class TestCarriedCovariance:
+    """Each state carries the sample covariance C of its X ensemble, and the
+    step takes the forecast sample covariance as A C A^T."""
+
+    def test_one_sample_covariance_per_coupled_state(self, scalar, monkeypatch):
+        import enkf_lab.enkf as enkf
+
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(enkf, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("sample_cov", "apply_model"):
+            monkeypatch.setattr(enkf, name, counted(name))
+        model, init = scalar  # 3 steps
+        run_study(StudyConfig(model=model, init=init, n_grid=(4, 8, 16), replicates=3,
+                              p_list=(2.0,)))
+        # One chunk: per N, 4 states with one sample covariance each, and 5
+        # forecasts, since X and U share their step-1 forecast.
+        assert calls == {"sample_cov": 3 * 4, "apply_model": 3 * (1 + 2 + 2)}
+
+    @pytest.mark.parametrize("problem", ["reference", "random"])
+    @pytest.mark.parametrize("replicate", [4, (0, 1, 2)])
+    def test_forecast_of_carried_cov_is_forecast_sample_cov(self, request, problem,
+                                                            replicate):
+        # single chains and stacks: up to rounding, at every step
+        model, init = _random_model() if problem == "random" else request.getfixturevalue(problem)
+        trajectory = kf_run(model, init)
+        x = init_ensemble(5, replicate, 32, init)
+        state = CoupledState(x, x, sample_cov(x), step=0)
+        for k, step in enumerate(model.steps, start=1):
+            assert np.array_equal(state.enkf_cov, sample_cov(state.enkf_ensemble))
+            carried = step.A @ state.enkf_cov @ step.A.T
+            direct = sample_cov(apply_model(model, k, state.enkf_ensemble))
+            error = np.linalg.norm(carried - direct, axis=(-2, -1))
+            assert (error <= 1e-12 * np.linalg.norm(direct, axis=(-2, -1))).all()
+            data = perturb_data(5, replicate, k, 32, step.data, step.R)
+            state = coupled_step(state, model, data, trajectory)
+        assert np.array_equal(state.enkf_cov, sample_cov(state.enkf_ensemble))
+
+
+class TestReferenceEnsembleLaw:
+    # With the exact gain and perturbed data, the members of U at step k are
+    # exactly i.i.d. N(u_k, Q_k): the Joseph form equals (I - L H) Q^f at the
+    # optimal gain L. Their 1/N sample mean and covariance then have the
+    # closed-form mean squared errors below (the second of them from the
+    # Wishart second moments). Each replicate mean of a squared error must lie
+    # within Z_BOUND of its standard errors of the closed form. At |z| <= 4.5
+    # a check fails with chance about 7e-6 for a correct U, so the 12 checks
+    # fail together with chance below 1e-4 for a fresh seed.
+    Z_BOUND = 4.5
+    REPLICATES = 2000
+
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_sample_moments_match_closed_forms(self, reference, reference_kf, n):
+        model, init = reference
+        seed, replicates = 11, range(self.REPLICATES)
+        x = init_ensemble(seed, replicates, n, init)
+        state = CoupledState(x, x, sample_cov(x), step=0)
+        for k in range(1, 6):
+            step = model.step(k)
+            data = perturb_data(seed, replicates, k, n, step.data, step.R)
+            state = coupled_step(state, model, data, reference_kf)
+            if k not in (1, 5):
+                continue
+            u, exact = state.reference_ensemble, reference_kf.analysis(k)
+            q_fro2, q_trace = (exact.cov ** 2).sum(), np.trace(exact.cov)
+            closed = {
+                "mean": q_trace / n,
+                "cov": (n - 1) / n**2 * (q_fro2 + q_trace**2) + q_fro2 / n**2,
+            }
+            errors = {
+                "mean": ((sample_mean(u) - exact.mean) ** 2).sum(axis=-1),
+                "cov": ((sample_cov(u) - exact.cov) ** 2).sum(axis=(-2, -1)),
+            }
+            for name, sq in errors.items():
+                z = (sq.mean() - closed[name]) / (sq.std(ddof=1) / np.sqrt(len(sq)))
+                assert abs(z) <= self.Z_BOUND, (name, n, k, z)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 from types import SimpleNamespace
@@ -290,6 +291,18 @@ class TestFitRate:
         with pytest.raises(ValueError, match="at least 3"):
             fit_rate([(10, 0.0), (100, 0.0), (1000, 0.0)])
 
+    def test_matches_polyfit(self, rng):
+        # the closed form agrees with NumPy's least-squares line fit
+        for size in (3, 5, 8):
+            grid = np.cumsum(rng.integers(1, 500, size)) + 1
+            points = [(int(n), float(e)) for n, e in zip(grid, rng.lognormal(-3.0, 2.0, size))]
+            fit = fit_rate(points)
+            log_n, log_e = np.log(grid), np.log([e for _, e in points])
+            slope, intercept = np.polyfit(log_n, log_e, 1)
+            assert abs(fit.slope - slope) <= 1e-12 and abs(fit.intercept - intercept) <= 1e-12
+            residual = np.abs(log_e - (slope * log_n + intercept)).max()
+            assert abs(fit.max_residual - residual) <= 1e-12
+
 
 class TestStudyConfig:
     def test_grid_must_increase(self, scalar):
@@ -431,6 +444,23 @@ class TestRunStudy:
             self.small_config(scalar, seed=1)
         )
 
+    def test_config_hash_reads_every_array_entry(self, reference):
+        # the hash sees each entry's value, not the array's layout, and a
+        # change of one entry of any array changes it
+        model, init = reference
+        config = StudyConfig(model=model, init=init, n_grid=(4, 8), replicates=2)
+        base = config_hash(config)
+        fortran = GaussianState(mean=init.mean, cov=np.asfortranarray(init.cov + 0.0))
+        assert config_hash(dataclasses.replace(config, init=fortran)) == base
+        for k in range(len(model.steps)):
+            for name in ("A", "b", "H", "R", "data"):
+                changed = getattr(model.steps[k], name).copy()
+                changed.flat[-1] += 1e-9
+                steps = list(model.steps)
+                steps[k] = dataclasses.replace(steps[k], **{name: changed})
+                other = dataclasses.replace(model, steps=tuple(steps))
+                assert config_hash(dataclasses.replace(config, model=other)) != base, (k, name)
+
     def test_chunking_does_not_change_the_report(self, scalar, monkeypatch, tmp_path,
                                                  fail_chains):
         # chunks of 1, uneven chunks of 2, one chunk, and two workers' even
@@ -512,10 +542,9 @@ class TestRunStudy:
         assert report.estimate("member_lp_p2", 1, 4).estimate > 0
 
     def test_diverging_chain_fails_loudly(self, diverging):
-        # Every chain at N = 4096 fails in the gain solve of its overflowed
-        # forecast covariance. At N = 4 and 64 the analysis keeps about
-        # 1e137 of the forecast's 1e153 spread, from rounding a gain of
-        # about 1; the covariance error's Frobenius norm (about 1e274) is
+        # Every chain at N = 4096 fails at the finiteness check of its
+        # state, since its analysis sample covariance overflows. At N = 4
+        # and 64 that covariance and its error (about 4e305 and 2e305) are
         # finite, so those chains run on and count in the estimates.
         # No non-finite number reaches the estimates.
         model, init = diverging
@@ -524,7 +553,7 @@ class TestRunStudy:
             report = run_study(config)
         failures = report.metadata["failures"]
         assert failures["4096"] == [
-            {"replicate": r, "error": "ValueError: array must not contain infs or NaNs"}
+            {"replicate": r, "error": "ValueError: ensemble entries must be finite"}
             for r in range(4)]
         assert set(failures) == {"4096"}
         assert {row.n for row in report.estimates} == {4, 64}
