@@ -4,17 +4,17 @@ Commands:
     enkf-lab validate <model.json>
     enkf-lab kf <model.json> -o DIR
     enkf-lab study <model.json> <study.json> -o DIR
-        [--seed S] [--format json|csv|both] [--dump-trajectories] [--workers W]
+        [--dump-trajectories] [--workers W]
 
 Exit codes: 0 success, 1 domain-invalid input, float64 overflow or failed
 study replicates (the report is still written), 2 I/O or parse failure.
-Seed precedence: --seed flag > study file > ENKF_LAB_SEED env var > 0.
+A study's inputs are its two files alone: the seed is the study file's
+``seed``, default 0. ``study`` always writes all three report files.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -31,8 +31,6 @@ from .model import GaussianState, LinearModel, ModelFormatError, ValidationError
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
-
-SEED_ENV_VAR = "ENKF_LAB_SEED"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,11 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_study.add_argument("model", help="model JSON file")
     p_study.add_argument("study", help="study JSON file")
     p_study.add_argument("-o", "--out", required=True, help="output directory")
-    p_study.add_argument("--seed", type=int, default=None, help="seed override")
-    p_study.add_argument(
-        "--format", choices=("json", "csv", "both"), default="both",
-        dest="fmt", help="report output format",
-    )
     p_study.add_argument(
         "--dump-trajectories", action="store_true",
         help="write replicate 0's ensembles and gains per N as .npy arrays",
@@ -104,9 +97,7 @@ def cmd_kf(model_path: str, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _build_study_config(
-    raw: dict, model: LinearModel, init: GaussianState, cli_seed: int | None
-) -> StudyConfig:
+def _build_study_config(raw: dict, model: LinearModel, init: GaussianState) -> StudyConfig:
     # StudyConfig checks the types of the fields it is given.
     for key in raw:
         if key not in ("n_grid", "replicates", "p_list", "seed", "metrics"):
@@ -123,19 +114,8 @@ def _build_study_config(
             metrics = tuple(Metric(name) for name in metric_names)
         except ValueError as exc:
             raise StudyFormatError(f"unknown metric in study file: {exc}") from exc
-    # Seed precedence: --seed flag > study file > environment variable > 0.
-    # The flag replaces the file's seed only after StudyConfig has checked it.
-    seed = raw.get("seed")
-    if seed is None and cli_seed is None:
-        text = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            seed = int(text)
-        except ValueError:
-            raise StudyFormatError(f"{SEED_ENV_VAR} takes integers only, got {text!r}") from None
-    fields = {key: raw[key] for key in ("n_grid", "replicates", "p_list") if key in raw}
-    config = StudyConfig(model=model, init=init, seed=cli_seed if seed is None else seed,
-                         metrics=metrics, **fields)
-    return config if cli_seed is None else dataclasses.replace(config, seed=cli_seed)
+    fields = {key: value for key, value in raw.items() if key != "metrics"}
+    return StudyConfig(model=model, init=init, metrics=metrics, **fields)
 
 
 def _dump_trajectories(out: Path, config: StudyConfig, failures: dict) -> None:
@@ -164,15 +144,8 @@ def _dump_trajectories(out: Path, config: StudyConfig, failures: dict) -> None:
             np.save(n_dir / f"{name}.npy", array)
 
 
-def cmd_study(
-    model_path: str,
-    study_path: str,
-    out_dir: str,
-    seed: int | None = None,
-    fmt: str = "both",
-    dump_trajectories: bool = False,
-    workers: int = 1,
-) -> int:
+def cmd_study(model_path: str, study_path: str, out_dir: str,
+              dump_trajectories: bool = False, workers: int = 1) -> int:
     # Checked before anything runs: a pool starts all its workers at once.
     max_workers = os.cpu_count() or 1
     if not 1 <= workers <= max_workers:
@@ -182,17 +155,15 @@ def cmd_study(
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise StudyFormatError("study file must contain a JSON object")
-    config = _build_study_config(raw, model, init, seed)
+    config = _build_study_config(raw, model, init)
 
     report = run_study(config, workers=workers)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if fmt in ("json", "both"):
-        report.write_json(out / "report.json")
-    if fmt in ("csv", "both"):
-        report.write_estimates_csv(out / "estimates.csv")
-        report.write_rates_csv(out / "rates.csv")
+    report.write_json(out / "report.json")
+    report.write_estimates_csv(out / "estimates.csv")
+    report.write_rates_csv(out / "rates.csv")
     if dump_trajectories:
         _dump_trajectories(out, config, report.metadata["failures"])
 
@@ -232,15 +203,8 @@ def main(argv=None) -> int:
         if args.command == "kf":
             return cmd_kf(args.model, args.out)
         if args.command == "study":
-            return cmd_study(
-                args.model,
-                args.study,
-                args.out,
-                seed=args.seed,
-                fmt=args.fmt,
-                dump_trajectories=args.dump_trajectories,
-                workers=args.workers,
-            )
+            return cmd_study(args.model, args.study, args.out,
+                             args.dump_trajectories, args.workers)
         raise AssertionError(f"unhandled command {args.command!r}")
     except (ModelFormatError, StudyFormatError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

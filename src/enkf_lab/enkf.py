@@ -162,21 +162,23 @@ def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
         gain_diff = state.ensemble_gain - state.exact_gain
         rows[GAIN_ERR] = gain_diff.reshape(batch + (-1,))
     errors = np.full(batch + (5,), np.nan)
-    with np.errstate(over="ignore"):
+    for column, values in rows.items():
+        errors[..., column] = _norms(values)
+    # The squares of finite entries beyond about 1e154 overflow: those
+    # rows alone are taken again, scaled by their largest |entry|, and
+    # every other norm keeps its bits.
+    if np.isinf(errors).any():
         for column, values in rows.items():
-            errors[..., column] = _norms(values)
-        # The squares of finite entries beyond about 1e154 overflow: those
-        # rows alone are taken again, scaled by their largest |entry|, and
-        # every other norm keeps its bits.
-        if np.isinf(errors).any():
-            for column, values in rows.items():
-                norms = errors[..., column]
-                over = np.isinf(norms) & np.isfinite(values).all(axis=-1)
-                top = np.abs(values[over]).max(axis=-1)
-                norms[over] = top * _norms(values[over] / top[:, None])
+            norms = errors[..., column]
+            over = np.isinf(norms) & np.isfinite(values).all(axis=-1)
+            top = np.abs(values[over]).max(axis=-1)
+            norms[over] = top * _norms(values[over] / top[:, None])
     return errors
 
 
+# One overflow rule whatever the caller's error state: an overflowing step
+# gives infinities, which the finiteness check of its state records.
+@np.errstate(over="ignore")
 def chunk_errors(
     model: LinearModel, init: GaussianState, seed: int, replicates: Sequence[int],
     n_grid: tuple[int, ...], kf_trajectory: KalmanTrajectory,

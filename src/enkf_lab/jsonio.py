@@ -16,5 +16,6 @@ def canonical_json(obj) -> str:
 
 
 def write_canonical_json(path, obj) -> None:
+    text = canonical_json(obj)  # before the open, so a failure truncates nothing
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -236,68 +237,57 @@ class TestStudyCommand:
         assert report(tmp_path / "untuned") == tuned
         assert lookups == [None]
 
-    def test_format_selection(self, scalar_model_file, study_file, tmp_path):
-        out = tmp_path / "json_only"
-        main(["study", str(scalar_model_file), str(study_file), "-o", str(out),
-              "--format", "json"])
-        assert (out / "report.json").exists()
-        assert not (out / "estimates.csv").exists()
-        out = tmp_path / "csv_only"
-        main(["study", str(scalar_model_file), str(study_file), "-o", str(out),
-              "--format", "csv"])
-        assert not (out / "report.json").exists()
-        assert (out / "estimates.csv").exists()
-
     def test_seed_precedence(self, scalar_model_file, study_file, tmp_path,
                              monkeypatch):
-        out_file = tmp_path / "file_seed"
-        main(["study", str(scalar_model_file), str(study_file), "-o", str(out_file)])
-        assert json.loads((out_file / "report.json").read_text())["metadata"]["seed"] == 5
+        # The seed is the study file's, default 0; the environment plays no part.
+        def seed_of(study, name):
+            main(["study", str(scalar_model_file), str(study), "-o", str(tmp_path / name)])
+            return json.loads((tmp_path / name / "report.json").read_text())["metadata"]["seed"]
 
-        out_flag = tmp_path / "flag_seed"
-        main(["study", str(scalar_model_file), str(study_file), "-o", str(out_flag),
-              "--seed", "9"])
-        assert json.loads((out_flag / "report.json").read_text())["metadata"]["seed"] == 9
-
-        # env var applies only when neither flag nor file give a seed
+        assert seed_of(study_file, "file_seed") == 5
         study_no_seed = tmp_path / "study_no_seed.json"
         study_no_seed.write_text(json.dumps({"n_grid": [4, 8], "replicates": 2}))
+        assert seed_of(study_no_seed, "no_seed") == 0
         monkeypatch.setenv("ENKF_LAB_SEED", "77")
-        out_env = tmp_path / "env_seed"
-        main(["study", str(scalar_model_file), str(study_no_seed), "-o", str(out_env)])
-        assert json.loads((out_env / "report.json").read_text())["metadata"]["seed"] == 77
+        assert seed_of(study_no_seed, "env_set") == 0
 
-    @pytest.mark.parametrize("flag, file_seed", [
-        ([], 2**64), (["--seed", str(2**64)], 5), (["--seed", "-1"], None),
-    ], ids=["file-2**64", "flag-2**64", "flag-minus-1"])
+        def outputs(name):  # every byte but the timestamp's
+            out = tmp_path / name
+            report = re.sub(r'"timestamp": {[^}]*}', "", (out / "report.json").read_text())
+            return report, (out / "estimates.csv").read_text(), (out / "rates.csv").read_text()
+
+        assert outputs("env_set") == outputs("no_seed")
+
+    @pytest.mark.parametrize("file_seed", [2**64, -1], ids=["file-2**64", "file-minus-1"])
     def test_seed_outside_64_bits_exit_one(self, scalar_model_file, tmp_path, capsys,
-                                           flag, file_seed):
+                                           file_seed):
         study = tmp_path / "study.json"
         study.write_text(json.dumps({"n_grid": [4, 8], "replicates": 2, "seed": file_seed}))
         out = tmp_path / "out"
-        assert main(["study", str(scalar_model_file), str(study), "-o", str(out),
-                     *flag]) == 1
+        assert main(["study", str(scalar_model_file), str(study), "-o", str(out)]) == 1
         assert "error: seed must be in [0, 2**64)" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["abc", "1.5", ""])
-    def test_non_integer_env_seed_exit_two(self, scalar_model_file, tmp_path, capsys,
-                                           monkeypatch, value):
-        study = tmp_path / "study.json"
-        study.write_text(json.dumps({"n_grid": [4, 8], "replicates": 2}))
-        monkeypatch.setenv("ENKF_LAB_SEED", value)
+    @pytest.mark.parametrize("option", [["--seed", "9"], ["--format", "json"]],
+                             ids=["seed", "format"])
+    def test_removed_options_exit_two(self, scalar_model_file, study_file, tmp_path,
+                                      capsys, option):
+        # The files are the whole study: no flag sets its seed or its outputs.
         out = tmp_path / "out"
-        assert main(["study", str(scalar_model_file), str(study), "-o", str(out)]) == 2
-        assert "error: ENKF_LAB_SEED takes integers only" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["study", str(scalar_model_file), str(study_file), "-o", str(out), *option])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override_changes_numbers_not_schema(
         self, scalar_model_file, study_file, tmp_path
     ):
+        other_seed = tmp_path / "study_seed_123.json"
+        other_seed.write_text(json.dumps({**json.loads(study_file.read_text()), "seed": 123}))
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         main(["study", str(scalar_model_file), str(study_file), "-o", str(out_a)])
-        main(["study", str(scalar_model_file), str(study_file), "-o", str(out_b),
-              "--seed", "123"])
+        main(["study", str(scalar_model_file), str(other_seed), "-o", str(out_b)])
         rep_a = json.loads((out_a / "report.json").read_text())
         rep_b = json.loads((out_b / "report.json").read_text())
         key_a = [(r["metric"], r["k"], r["n"]) for r in rep_a["estimates"]]
@@ -413,16 +403,6 @@ class TestStudyCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
-    def test_mistyped_file_seed_exit_two_under_seed_flag(self, scalar_model_file,
-                                                         tmp_path, capsys):
-        study = tmp_path / "study.json"
-        study.write_text(json.dumps({"n_grid": [4, 8], "replicates": 2, "seed": "5"}))
-        out = tmp_path / "out"
-        assert main(["study", str(scalar_model_file), str(study), "-o", str(out),
-                     "--seed", "9"]) == 2
-        assert "seed" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_replicate_failure_reported_and_exit_one(
         self, scalar_model_file, study_file, tmp_path, capsys, fail_chains
     ):
@@ -453,6 +433,21 @@ class TestStudyCommand:
         err = capsys.readouterr().err
         assert "error: N=4096: 4 of 4 replicates failed" in err
         assert "N=4096 is dropped from the estimates" in err
+
+    def test_diverging_failures_match_the_library(self, diverging, tmp_path):
+        # The kernel has one overflow rule, so main's over="raise" records the
+        # same failures as a library call under NumPy's default error state.
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_dict(*diverging)))
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps({"n_grid": [4, 64, 4096], "replicates": 4}))
+        main(["study", str(model), str(study), "-o", str(tmp_path / "out")])
+        cli_failures = json.loads((tmp_path / "out" / "report.json").read_text())[
+            "metadata"]["failures"]
+        config = StudyConfig(*diverging, n_grid=(4, 64, 4096), replicates=4)
+        assert cli_failures == run_study(config).metadata["failures"]
+        assert {f["error"] for f in cli_failures["4096"]} == {
+            "ValueError: ensemble entries must be finite"}
 
     def test_dropped_n_reported_and_exit_one(
         self, scalar_model_file, study_file, tmp_path, capsys, fail_chains

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from enkf_lab.jsonio import canonical_json
+from enkf_lab.jsonio import canonical_json, write_canonical_json
 
 
 def test_sorted_keys_two_space_indent():
@@ -42,3 +42,12 @@ def test_non_finite_float_raises(value):
 def test_ndarray_raises():
     with pytest.raises(TypeError):
         canonical_json({"gain": np.eye(2)})
+
+
+@pytest.mark.parametrize("value", [math.nan, np.eye(2)], ids=["nan", "ndarray"])
+def test_failed_write_keeps_the_old_file(tmp_path, value):
+    path = tmp_path / "report.json"
+    path.write_text("old report\n")
+    with pytest.raises((ValueError, TypeError)):
+        write_canonical_json(path, {"metadata": {"x": value}})
+    assert path.read_bytes() == b"old report\n"
