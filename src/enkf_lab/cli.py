@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -146,10 +145,6 @@ def _dump_trajectories(out: Path, config: StudyConfig, failures: dict) -> None:
 
 def cmd_study(model_path: str, study_path: str, out_dir: str,
               dump_trajectories: bool = False, workers: int = 1) -> int:
-    # Checked before anything runs: a pool starts all its workers at once.
-    max_workers = os.cpu_count() or 1
-    if not 1 <= workers <= max_workers:
-        raise ValueError(f"--workers must be between 1 and {max_workers}, got {workers}")
     model, init = load_model(model_path)
     with open(Path(study_path), "r", encoding="utf-8") as fh:
         raw = json.load(fh)

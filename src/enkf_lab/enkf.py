@@ -14,8 +14,8 @@ The step functions take one m x N ensemble array or a (B, m, N) stack of
 ensembles of one size and treat each slice of a stack exactly as they would
 treat it alone, bit for bit. ``coupled_run`` advances one chain;
 ``chunk_errors``, the study kernel, advances the chains of a chunk of
-replicates as one stack per ensemble size, and runs a chunk whose stack
-raises again one replicate at a time.
+replicates as one stack per ensemble size; a size that fails in a stack runs
+again on each half of the stack, down to single replicates.
 """
 
 from __future__ import annotations
@@ -196,25 +196,26 @@ def chunk_errors(
 
     Returns the scalars, shape (len(replicates), len(n_grid), steps + 1, 5),
     NaN where there is none (the gain at step 0, a failed chain), and a map
-    from each replicate with a failure to {N: "ExcType: message"}. A single
-    replicate records the first error at each N: a failed step stops that N,
-    a failed draw every N still running. A step fails if it raises or if one
-    of its scalars is not finite (the step-0 gain aside): this one check per
-    state stands in for checks of every array the step makes. A chunk of several replicates stops
-    at its first failed draw or step, and runs this function again on each
-    replicate alone. A slice of a stack is computed as it would be alone, so
-    the rerun gives the same scalars and errors; but a failing chunk is
-    computed about twice, and its rerun is not batched.
+    from each replicate with a failure to {N: "ExcType: message"}. One rule
+    serves a single replicate and a stack: a failed step stops its N, a
+    failed draw every N still running, and the other sizes run on. A step
+    fails if it raises or if one of its scalars is not finite (the step-0
+    gain aside): this one check per state stands in for checks of every
+    array the step makes. A chunk of several replicates then runs only its
+    failed sizes again, once on each half of its replicates, down to single
+    replicates, which record their first error at each N. A slice of a stack
+    is computed as it would be alone, a stack fails whenever one of its
+    slices would, and by the prefix property a rerun at fewer sizes draws the
+    same leading columns, so the result does not depend on the chunking.
     """
     replicates = tuple(replicates)
     n_max = max(n_grid)
     errors = np.full((len(replicates), len(n_grid), len(model.steps) + 1, 5), np.nan)
-    stacked = len(replicates) > 1
     failed: dict[int, str] = {}  # the first error at each N
     states: dict[int, CoupledState] = {}
     for k in range(len(model.steps) + 1):
         running = [j for j, n in enumerate(n_grid) if n not in failed]
-        if not running or failed and stacked:
+        if not running:
             break
         try:  # one (B, m, n_max) draw for the whole chunk
             if k == 0:
@@ -238,13 +239,16 @@ def chunk_errors(
                     raise ValueError("ensemble entries must be finite")
             except Exception as exc:  # reported per (replicate, N) by run_study
                 failed[n] = f"{type(exc).__name__}: {exc}"
-                if stacked:
-                    break
-                continue
-            errors[:, j, k] = rows
-    if failed and stacked:  # run again one replicate at a time
-        parts = [chunk_errors(model, init, seed, (r,), n_grid, kf_trajectory)
-                 for r in replicates]
-        return (np.concatenate([part for part, _ in parts]),
-                {r: errs for _, lost in parts for r, errs in lost.items()})
-    return errors, ({replicates[0]: failed} if failed else {})
+            else:
+                errors[:, j, k] = rows
+    if len(replicates) == 1 or not failed:
+        return errors, ({replicates[0]: failed} if failed else {})
+    states = draws = None  # freed before the failed sizes run again on each half
+    columns = [j for j, n in enumerate(n_grid) if n in failed]
+    sizes = tuple(n_grid[j] for j in columns)
+    half, lost = len(replicates) // 2, {}
+    for part in (slice(0, half), slice(half, None)):
+        errors[part, columns], part_lost = chunk_errors(
+            model, init, seed, replicates[part], sizes, kf_trajectory)
+        lost |= part_lost
+    return errors, lost

@@ -23,6 +23,7 @@ import ctypes
 import functools
 import hashlib
 import math
+import os
 import sys
 import time
 from collections.abc import Iterable
@@ -350,9 +351,7 @@ class ConvergenceReport:
                          f"{row.max_residual!r}\n")
 
 
-def _metric_label(metric: Metric, p: float | None = None) -> str:
-    if p is None:
-        return metric.value
+def _metric_label(metric: Metric, p: float) -> str:
     p_txt = str(int(p)) if float(p).is_integer() else str(p)
     return f"{metric.value}_p{p_txt}"
 
@@ -417,8 +416,13 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
 
     Deterministic given the config: replicate indices feed the draw keys, so
     the result does not depend on scheduling, on the worker count or on how
-    the replicates are chunked.
+    the replicates are chunked. ``workers`` must lie between 1 and the CPU
+    count; the pool starts no more processes than there are chunks.
     """
+    # Checked before anything runs: a pool starts all its workers at once.
+    max_workers = os.cpu_count() or 1
+    if not 1 <= workers <= max_workers:
+        raise ValueError(f"workers must be between 1 and {max_workers}, got {workers}")
     started = time.perf_counter()
     _keep_freed_memory()
     # One exact-filter run, which also checks the problem, serves every
@@ -436,7 +440,7 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
         for start in range(0, config.replicates, chunk)
     ]
     if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = list(pool.map(_chunk_task, tasks))
     else:
         results = [_chunk_task(task) for task in tasks]

@@ -2,8 +2,9 @@
 
 The filter propagates the exact filtering mean and covariance and exposes the
 exact gain, which doubles as the reference gain for the ensemble experiments.
-All covariance outputs are explicitly symmetrized; SPD systems are solved via
-a symmetric factorization, never by forming an inverse.
+All covariance outputs are explicitly symmetrized. The gain's SPD system is
+checked by a Cholesky factorization and solved once, never by forming an
+inverse.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ def _forecast_cov(A: np.ndarray, cov: np.ndarray) -> np.ndarray:
 
 
 def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Gain Q^f H^T (H Q^f H^T + R)^{-1}, via a Cholesky solve.
+    """Gain Q^f H^T (H Q^f H^T + R)^{-1}, by one solve.
 
-    Solves the SPD system (H Q^f H^T + R) Z = H Q^f and returns Z^T; R must be
-    symmetric positive definite, which keeps the system well-posed even when
-    the forecast covariance is rank deficient or zero. A stack of forecast
-    covariances, shape (B, m, m), gives the stack of their gains.
+    Solves the SPD system (H Q^f H^T + R) Z = H Q^f once, after a Cholesky
+    factorization has checked that it is positive definite, and returns Z^T.
+    R must be symmetric positive definite, which keeps the system well-posed
+    even when the forecast covariance is rank deficient or zero. A stack of
+    forecast covariances, shape (B, m, m), gives the stack of their gains.
     """
     forecast_cov = np.asarray(forecast_cov, dtype=np.float64)
     H = np.asarray(H, dtype=np.float64)
@@ -48,17 +50,14 @@ def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarra
     # Reports record this message in metadata.failures, so it stays as it was.
     if not np.all(np.isfinite(innovation_cov)):
         raise ValueError("array must not contain infs or NaNs")
-    # The factorization is also the check of positive definiteness. The solve
-    # goes through the factor, not S: for d = 1 that is two divisions by
-    # sqrt(S), and a single solve through S rounds the scalar gain of a
-    # diverging chain to exactly 1. The gain is returned C-contiguous, so a
-    # stack's later products round as a single chain's do.
+    # The Cholesky factorization is only the check of positive definiteness;
+    # one solve with the innovation covariance gives the gain. The gain is returned C-contiguous,
+    # so a stack's later products round as a single chain's do.
     try:
-        factor = np.linalg.cholesky(innovation_cov)
+        np.linalg.cholesky(innovation_cov)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("innovation covariance is not positive definite") from exc
-    gain = np.linalg.solve(factor.mT, np.linalg.solve(factor, hq))
-    gain = np.ascontiguousarray(gain.mT)
+    gain = np.ascontiguousarray(np.linalg.solve(innovation_cov, hq).mT)
     if not np.all(np.isfinite(gain)):
         raise np.linalg.LinAlgError("Kalman gain has non-finite entries")
     return gain

@@ -129,8 +129,6 @@ class LinearModel:
 
 
 def _is_symmetric(mat: np.ndarray) -> bool:
-    if mat.shape[0] != mat.shape[1]:
-        return False
     scale = np.abs(mat).max()
     return np.abs(mat - mat.T).max() <= SYMMETRY_RTOL * scale
 

@@ -65,9 +65,10 @@ def fail_chains(monkeypatch):
     """Arm the study kernel to fail the chains of some replicates at one N.
 
     ``fail_chains(replicates, n)`` makes ``coupled_step`` raise on any stack
-    of size-n chains that holds one of those replicates, so when the kernel
-    runs the chunk again one replicate at a time, exactly those fail at n;
-    the other sizes run on. A chain is known by its data: member 1 of every
+    of size-n chains that holds one of those replicates. The kernel then
+    runs size n again on halves of the chunk, down to single replicates, so
+    exactly those replicates fail at n; the other sizes run on, and the
+    other replicates at n too. A chain is known by its data: member 1 of every
     perturbed-data draw of the armed replicates is recorded (a draw may serve
     one replicate or a sequence of them), and a stack whose data ensemble
     starts a row with one of them holds an armed chain. Pool workers are

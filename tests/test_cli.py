@@ -403,6 +403,32 @@ class TestStudyCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"n_grid": [4, 8, 16]}, "study file needs n_grid and replicates"),
+        ([{"n_grid": [4, 8, 16], "replicates": 3}], "study file must contain a JSON object"),
+    ], ids=["no-replicates", "list"])
+    def test_malformed_study_file_exit_two(self, scalar_model_file, tmp_path, capsys,
+                                           raw, message):
+        study = tmp_path / "study.json"
+        study.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study), "-o", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_explosion_flag_printed(self, scalar_model_file, study_file, tmp_path,
+                                    capsys, monkeypatch):
+        # at ratio 1.0 every step whose moments differ across N is flagged
+        monkeypatch.setattr("enkf_lab.experiment.MOMENT_FLAG_RATIO", 1.0)
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study_file), "-o", str(out)]) == 0
+        flagged = [row for row in strict_json(out / "report.json")["moment_flags"]
+                   if row["flagged"]]
+        assert flagged
+        stdout = capsys.readouterr().out
+        for row in flagged:
+            assert f"{row['metric']} k={row['k']}: explosion flag RAISED" in stdout
+
     def test_replicate_failure_reported_and_exit_one(
         self, scalar_model_file, study_file, tmp_path, capsys, fail_chains
     ):
@@ -470,8 +496,11 @@ class TestStudyCommand:
             ({"p_list": []}, "at least one moment order is required"),
             ({"p_list": [float("nan")]}, "moment orders must all be finite"),
             ({"metrics": ["mean_err", "mean_err"]}, "metrics must be distinct"),
+            ({"replicates": 1}, "replicates must be >= 2"),
+            ({"metrics": []}, "at least one metric is required"),
         ],
-        ids=["duplicate-p", "empty-p", "nan-p", "duplicate-metric"],
+        ids=["duplicate-p", "empty-p", "nan-p", "duplicate-metric", "one-replicate",
+             "no-metric"],
     )
     def test_invalid_study_value_exit_one(self, scalar_model_file, tmp_path,
                                           capsys, override, message):
@@ -502,16 +531,16 @@ class TestStudyCommand:
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
     def test_workers_out_of_range_exit_one(self, scalar_model_file, study_file,
                                            tmp_path, capsys, monkeypatch, workers):
-        # The bound is checked before any study work; fail loudly otherwise
-        # rather than start a pool of the requested size.
-        def no_study(*args, **kwargs):
-            raise AssertionError("run_study reached despite a bad --workers")
+        # run_study checks the bound before any study work; fail loudly
+        # otherwise rather than start a pool of the requested size.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started despite a bad --workers")
 
-        monkeypatch.setattr("enkf_lab.cli.run_study", no_study)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         out = tmp_path / "out"
         assert main(["study", str(scalar_model_file), str(study_file),
                      "-o", str(out), "--workers", str(workers)]) == 1
-        assert "--workers must be between 1 and" in capsys.readouterr().err
+        assert f"workers must be between 1 and {os.cpu_count() or 1}" in capsys.readouterr().err
         assert not out.exists()
 
 

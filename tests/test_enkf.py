@@ -370,6 +370,34 @@ class TestReplicateErrors:
         assert np.isnan(scalars[0, 1, 2:]).all()
         assert np.array_equal(scalars[1], clean[1], equal_nan=True)
 
+    def test_only_failed_sizes_run_again(self, scalar, scalar_kf, fail_chains, monkeypatch):
+        # One failing replicate of a chunk of 8 at N = 8: the other sizes
+        # advance once as one stack, and N = 8 runs again on halves of the
+        # chunk, at most twice per level of the 3 halvings plus the first run.
+        import enkf_lab.enkf as enkf
+
+        model, init = scalar
+        steps = len(model.steps)
+        replicates, n_grid = tuple(range(8)), (4, 8, 16)
+        alone = [chunk_errors(model, init, 0, (r,), n_grid, scalar_kf)[0] for r in replicates]
+        fail_chains({5}, 8)
+        armed, calls = enkf.coupled_step, Counter()
+
+        def coupled_step(state, model, data_ensemble, *args, **kwargs):
+            calls[data_ensemble.shape[-1]] += 1
+            return armed(state, model, data_ensemble, *args, **kwargs)
+
+        monkeypatch.setattr(enkf, "coupled_step", coupled_step)
+        scalars, failures = chunk_errors(model, init, 0, replicates, n_grid, scalar_kf)
+        assert failures == {5: {8: "RuntimeError: synthetic failure"}}
+        assert calls[4] == calls[16] == steps
+        assert calls[8] <= (2 * 3 + 1) * steps
+        for r in replicates:
+            expected = alone[r].copy()
+            if r == 5:
+                expected[0, 1, 1:] = np.nan
+            assert np.array_equal(scalars[r], expected[0], equal_nan=True)
+
 
 @st.composite
 def problems(draw):

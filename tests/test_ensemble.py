@@ -327,7 +327,7 @@ class TestBatchedDraw:
 
 
 RAW_WORDS_DIGEST = "6b5647362e92995e2e6b43d610dd5c5854e52a8081172cb82e020438237060da"
-TINY_REPORT_DIGEST = "ef00450aa2e322adbd973ae21c130df4d0bd2ff0b6eb40c0895893e28078186b"
+TINY_REPORT_DIGEST = "64d0a65a69c755bbebf98b6d8aca37b0b7e437582700de1052aafc803ff23e4a"
 
 
 class TestDrawSchemeGolden:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +27,7 @@ from enkf_lab.experiment import (
     EstimateRow,
     MomentFlagRow,
     StudyFormatError,
+    _moment_ratio,
     config_hash,
 )
 
@@ -639,6 +641,18 @@ class TestRunStudy:
         assert [(row.metric, row.k) for row in report.moment_flags] == [
             (f"moment_p{p}", k) for p in (2, 10) for k in range(4)]
 
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    def test_workers_out_of_range_rejected(self, scalar, monkeypatch, workers):
+        # Checked before any study work: no pool of the requested size starts.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started despite a bad workers count")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16), replicates=3)
+        with pytest.raises(ValueError, match=f"between 1 and {os.cpu_count() or 1}, got"):
+            run_study(config, workers=workers)
+
     def test_one_pool_per_study(self, scalar, monkeypatch):
         import concurrent.futures
 
@@ -708,6 +722,17 @@ class TestReportSerialization:
         ]
         report.write_estimates_csv(tmp_path / "estimates.csv")
         assert (tmp_path / "estimates.csv").read_text().splitlines()[1] == "mean_err,0,4,0.5,"
+
+    def test_moment_ratio_of_a_zero_minimum(self, tmp_path):
+        # a zero moment next to a positive one is unbounded, written as null
+        assert _moment_ratio([0.0, 0.0]) == 1.0
+        ratio = _moment_ratio([0.0, 2.0])
+        assert ratio == float("inf")
+        report = ConvergenceReport(metadata={},
+                                   moment_flags=[MomentFlagRow("moment_p2", 1, True, ratio)])
+        report.write_json(tmp_path / "report.json")
+        (row,) = json.loads((tmp_path / "report.json").read_text())["moment_flags"]
+        assert row["max_over_min"] is None
 
     def test_non_finite_metadata_raises(self, tmp_path):
         # only row fields are mapped to null; anything else non-finite is a

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,19 @@ class TestModelFiles:
         else:
             raw[field] = True
         with pytest.raises(ModelFormatError, match=field):
+            model_from_dict(raw)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["steps"][0].update(data_sequence=[]),
+         "data_sequence must be a non-empty list in step 0"),
+        (lambda raw: raw.update(init=[0.0]), "init must be an object with mean and cov"),
+        (lambda raw: raw["init"].pop("mean"), "missing key 'mean' in init"),
+        (lambda raw: raw.update(state_dim=0), "state_dim must be a positive integer"),
+    ], ids=["empty-data-sequence", "init-not-object", "init-without-mean", "zero-state-dim"])
+    def test_malformed_model_is_format_error(self, edit, message):
+        raw = self.model_dict()
+        edit(raw)
+        with pytest.raises(ModelFormatError, match=re.escape(message)):
             model_from_dict(raw)
 
     @pytest.mark.parametrize("place, key, where", [

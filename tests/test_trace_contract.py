@@ -56,3 +56,31 @@ def test_traced_study_runs_and_restores_every_name(tmp_path):
     assert patched
     for (owner, attr), original in patched.items():
         assert getattr(owner, attr) is original, attr
+
+
+def test_traced_failing_study_records_its_failures(tmp_path, fail_chains):
+    # Armed before the tracer installs, so the tracer wraps the armed names
+    # and gives them back on uninstall.
+    fail_chains({5}, 8)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_to_dict(*scalar_model())))
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({"n_grid": [4, 8, 16], "replicates": 8, "seed": 1}))
+    tracer = load_tracer_class()(enkf_lab)
+    tracer.install()
+    patched = {}
+    for owner, attr, original in tracer._saved:
+        patched.setdefault((owner, attr), original)
+    try:
+        rc = cli.main(["study", str(model), str(study), "-o", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    assert rc == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["metadata"]["failures"] == {
+        "8": [{"replicate": 5, "error": "RuntimeError: synthetic failure"}]}
+    layers = tracer.layers()
+    for layer in ("ensemble.draw_calls", "enkf.coupled_steps"):
+        assert layers[layer] > 0, layer
+    for (owner, attr), original in patched.items():
+        assert getattr(owner, attr) is original, attr

@@ -65,6 +65,7 @@ INVALID = {
     "short-init-mean": (
         ("init",), {"mean": [0.0], "cov": [[1.0]]}, "init mean has length 1, expected 2",
     ),
+    "short-b": (("steps", 0, "b"), [0.0], "b has length 1, expected 2 at step 1"),
     "nan-data": (("steps", 1, "data", 0), math.nan, "data has non-finite entries at step 2"),
     "nan-b": (("steps", 0, "b", 1), math.nan, "b has non-finite entries at step 1"),
     "nan-init-mean": (("init", "mean", 0), math.nan, "init mean has non-finite entries"),
