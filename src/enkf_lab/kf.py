@@ -50,9 +50,9 @@ def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarra
     # Reports record this message in metadata.failures, so it stays as it was.
     if not np.all(np.isfinite(innovation_cov)):
         raise ValueError("array must not contain infs or NaNs")
-    # The Cholesky factorization is only the check of positive definiteness;
-    # one solve with the innovation covariance gives the gain. The gain is returned C-contiguous,
-    # so a stack's later products round as a single chain's do.
+    # The Cholesky factorization only checks positive definiteness. One solve
+    # with the innovation covariance gives the gain, returned C-contiguous so
+    # that a stack's later products round as a single chain's do.
     try:
         np.linalg.cholesky(innovation_cov)
     except np.linalg.LinAlgError as exc:
