@@ -10,12 +10,20 @@ With affine dynamics and no process noise, the forecast sample covariance of
 X is A C A^T of its analysis sample covariance C, which each state carries:
 a step forms one sample covariance, of its X analysis.
 
+Member i of U depends only on its own draws and the exact gains, not on N.
+The member-wise products of both ensembles run on whole blocks of ``_BLOCK``
+members, the draws' own block size, so each member's bits depend on neither
+N nor the other members either: U at any N is the prefix of U at a larger N,
+bit for bit. ``reference_step`` advances U; ``coupled_step`` advances X and
+takes U from its caller.
+
 The step functions take one m x N ensemble array or a (B, m, N) stack of
 ensembles of one size and treat each slice of a stack exactly as they would
 treat it alone, bit for bit. ``coupled_run`` advances one chain;
 ``chunk_errors``, the study kernel, advances the chains of a chunk of
-replicates as one stack per ensemble size; a size that fails in a stack runs
-again on each half of the stack, down to single replicates.
+replicates as one stack per ensemble size, and U's first ``_BLOCK``
+members once for them all; a size that fails in a stack runs again on each
+half of the stack, down to single replicates.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import numpy as np
 
 from .ensemble import init_ensemble, perturb_data, sample_cov, sample_mean
 from .kf import KalmanTrajectory, _forecast_cov, kf_gain, kf_run
-from .model import GaussianState, LinearModel, apply_model
+from .model import _BLOCK, GaussianState, LinearModel, _member_product, apply_model
 
 # Test hook: maps a step index to a replacement for the forecast sample
 # covariance used in the gain computation.
@@ -40,9 +48,11 @@ class CoupledState:
     and the gains of the last analysis.
 
     The ensembles may be stacks of B chains, with stacks of B covariances and
-    B ensemble gains, and the one exact gain of the step. At step 0 the
-    ensembles are one and the same array; the gains are None because no
-    analysis has happened yet.
+    B ensemble gains, and the one exact gain of the step. The reference
+    ensemble holds at least member 1 of U: ``coupled_run`` keeps N members,
+    the study kernel the first ``_BLOCK`` at any N. At step 0 the ensembles
+    are one and the same array; the gains are None because no analysis has
+    happened yet.
     """
 
     enkf_ensemble: np.ndarray
@@ -63,30 +73,40 @@ def enkf_analysis(
             f"forecast has {forecast.shape[-1]} members but data ensemble has "
             f"{data_ensemble.shape[-1]}"
         )
-    # forecast + gain @ (data_ensemble - H @ forecast), bit for bit, in product buffers.
-    innovation = H @ forecast
-    out = gain @ np.subtract(data_ensemble, innovation, out=innovation)
+    # forecast + gain @ (data_ensemble - H @ forecast), in product buffers.
+    innovation = _member_product(H, forecast)
+    out = _member_product(gain, np.subtract(data_ensemble, innovation, out=innovation))
     out += forecast
     return out
+
+
+def reference_step(
+    model: LinearModel, k: int, reference_ensemble: np.ndarray,
+    data_ensemble: np.ndarray, kf_trajectory: KalmanTrajectory,
+) -> np.ndarray:
+    """U at step k: the step-k forecast of ``reference_ensemble`` updated with
+    the exact gain on ``data_ensemble``, the members' perturbed data."""
+    forecast = apply_model(model, k, reference_ensemble)
+    return enkf_analysis(forecast, data_ensemble, kf_trajectory.gain(k), model.step(k).H)
 
 
 def coupled_step(
     state: CoupledState,
     model: LinearModel,
     data_ensemble: np.ndarray,
+    reference_ensemble: np.ndarray,
     kf_trajectory: KalmanTrajectory,
     forecast_cov_override: CovOverride | None = None,
 ) -> CoupledState:
-    """Advance both ensembles by one step on one perturbed-data ensemble.
+    """Advance X by one step on one perturbed-data ensemble, and pair it with
+    ``reference_ensemble``, U at the same step.
 
-    The caller draws ``data_ensemble`` once for step ``state.step + 1``, and
-    this one matrix feeds both analyses. The exact gain comes from the
-    precomputed filter trajectory (it does not depend on the ensemble), and
-    the ensemble gain from the forecast sample covariance of X, taken as
-    A C A^T of the carried covariance C (equal up to rounding), unless the
-    ``forecast_cov_override`` test hook substitutes another matrix. The X
-    analysis's sample covariance is formed before U is touched, while X is
-    still in cache. At step 1 X and U are one array and share a forecast.
+    The caller draws ``data_ensemble`` once for step ``state.step + 1`` and
+    advances U on the same draws with ``reference_step``. The ensemble gain
+    comes from the forecast sample covariance of X, taken as A C A^T of the
+    carried covariance C (equal up to rounding), unless the
+    ``forecast_cov_override`` test hook substitutes another matrix; the
+    exact gain comes from the precomputed filter trajectory.
     """
     k = state.step + 1
     step = model.step(k)
@@ -95,14 +115,9 @@ def coupled_step(
                     else forecast_cov_override(k))
     gain = kf_gain(forecast_cov, step.H, step.R)
     x = enkf_analysis(x_forecast, data_ensemble, gain, step.H)
-    x_cov = sample_cov(x)
-    u_forecast = (x_forecast if state.reference_ensemble is state.enkf_ensemble
-                  else apply_model(model, k, state.reference_ensemble))
-    exact = kf_trajectory.gain(k)
     return CoupledState(
-        enkf_ensemble=x,
-        reference_ensemble=enkf_analysis(u_forecast, data_ensemble, exact, step.H),
-        enkf_cov=x_cov, step=k, ensemble_gain=gain, exact_gain=exact,
+        enkf_ensemble=x, reference_ensemble=reference_ensemble, enkf_cov=sample_cov(x),
+        step=k, ensemble_gain=gain, exact_gain=kf_trajectory.gain(k),
     )
 
 
@@ -128,9 +143,9 @@ def coupled_run(
     states = [CoupledState(initial, initial, sample_cov(initial), step=0)]
     for k, step in enumerate(model.steps, start=1):
         data = perturb_data(seed, replicate, k, n, step.data, step.R)
-        states.append(
-            coupled_step(states[-1], model, data, kf_trajectory, forecast_cov_override)
-        )
+        reference = reference_step(model, k, states[-1].reference_ensemble, data, kf_trajectory)
+        states.append(coupled_step(states[-1], model, data, reference, kf_trajectory,
+                                   forecast_cov_override))
     return states
 
 
@@ -187,29 +202,30 @@ def chunk_errors(
     ``n_grid``, as one stack of chains per N.
 
     Steps are the outer loop and N the inner one. Each step makes one draw
-    call for the chunk, at the largest N; by the prefix property the first n
-    columns of each replicate's slice are its size-n draw, so every chain is
-    bit-identical to ``coupled_run`` of its replicate at that n. Each stacked
-    state is reduced at once to the five scalars of the column constants
-    above, so one stacked state per N and one step's draws are alive at a
-    time.
+    call for the chunk, at the largest running N and at least ``_BLOCK``
+    wide, and advances U's first ``_BLOCK`` members once for the chunk: the
+    scalars read member 1 of U only. By the prefix property the first n
+    columns of each replicate's slice are its size-n draw, and U's members
+    are the first of every larger U, so every chain is bit-identical to
+    ``coupled_run`` of its replicate at that n. Each stacked state is
+    reduced at once to the five scalars of the column constants above, so
+    one stacked state per N and one step's draws are alive at a time.
 
     Returns the scalars, shape (len(replicates), len(n_grid), steps + 1, 5),
     NaN where there is none (the gain at step 0, a failed chain), and a map
     from each replicate with a failure to {N: "ExcType: message"}. One rule
     serves a single replicate and a stack: a failed step stops its N, a
-    failed draw every N still running, and the other sizes run on. A step
-    fails if it raises or if one of its scalars is not finite (the step-0
-    gain aside): this one check per state stands in for checks of every
-    array the step makes. A chunk of several replicates then runs only its
-    failed sizes again, once on each half of its replicates, down to single
-    replicates, which record their first error at each N. A slice of a stack
-    is computed as it would be alone, a stack fails whenever one of its
+    failed draw or U step every N still running, and the other sizes run on.
+    A step fails if it raises or if one of its scalars is not finite (the
+    step-0 gain aside): this one check per state stands in for checks of
+    every array the step makes. A chunk of several replicates then runs only
+    its failed sizes again, once on each half of its replicates, down to
+    single replicates, which record their first error at each N. A slice of a
+    stack is computed as it would be alone, a stack fails whenever one of its
     slices would, and by the prefix property a rerun at fewer sizes draws the
     same leading columns, so the result does not depend on the chunking.
     """
     replicates = tuple(replicates)
-    n_max = max(n_grid)
     errors = np.full((len(replicates), len(n_grid), len(model.steps) + 1, 5), np.nan)
     failed: dict[int, str] = {}  # the first error at each N
     states: dict[int, CoupledState] = {}
@@ -217,12 +233,16 @@ def chunk_errors(
         running = [j for j, n in enumerate(n_grid) if n not in failed]
         if not running:
             break
-        try:  # one (B, m, n_max) draw for the whole chunk
+        width = max(max(n_grid[j] for j in running), _BLOCK)
+        try:  # one (B, m, width) draw and one step of U for the whole chunk
             if k == 0:
-                draws = init_ensemble(seed, replicates, n_max, init)
+                draws = init_ensemble(seed, replicates, width, init)
+                reference = np.ascontiguousarray(draws[..., :_BLOCK])
             else:
                 step = model.step(k)
-                draws = perturb_data(seed, replicates, k, n_max, step.data, step.R)
+                draws = perturb_data(seed, replicates, k, width, step.data, step.R)
+                reference = reference_step(model, k, reference, draws[..., :_BLOCK],
+                                           kf_trajectory)
         except Exception as exc:  # reported per (replicate, N) by run_study
             failed.update((n_grid[j], f"{type(exc).__name__}: {exc}") for j in running)
             break
@@ -232,7 +252,8 @@ def chunk_errors(
             data = np.ascontiguousarray(draws[..., :n])
             try:
                 states[n] = (CoupledState(data, data, sample_cov(data), step=0) if k == 0
-                             else coupled_step(states[n], model, data, kf_trajectory))
+                             else coupled_step(states[n], model, data, reference,
+                                               kf_trajectory))
                 rows = _errors(states[n], exact)
                 # The one finiteness check of a state; no gain at step 0.
                 if not np.isfinite(rows if k else rows[..., :GAIN_ERR]).all():
@@ -243,7 +264,7 @@ def chunk_errors(
                 errors[:, j, k] = rows
     if len(replicates) == 1 or not failed:
         return errors, ({replicates[0]: failed} if failed else {})
-    states = draws = None  # freed before the failed sizes run again on each half
+    states = draws = reference = None  # freed before the failed sizes run again on each half
     columns = [j for j, n in enumerate(n_grid) if n in failed]
     sizes = tuple(n_grid[j] for j in columns)
     half, lost = len(replicates) // 2, {}

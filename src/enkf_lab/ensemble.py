@@ -34,15 +34,12 @@ import numpy as np
 # every pool worker, forked anew for each study, would import it again.
 from numpy.random import Generator, Philox
 
-from .model import GaussianState, _cov_factor
+from .model import _BLOCK, GaussianState, _cov_factor
 
 _KEY_STRUCT = struct.Struct("<Qqqq")
 
 # Recorded in study reports and config hashes; bump whenever the bits change.
 DRAW_SCHEME = 4
-
-# Members per matrix product of a draw; part of the draw scheme.
-_BLOCK = 128
 
 
 class Role(IntEnum):

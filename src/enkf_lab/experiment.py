@@ -416,11 +416,14 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
 
     Deterministic given the config: replicate indices feed the draw keys, so
     the result does not depend on scheduling, on the worker count or on how
-    the replicates are chunked. ``workers`` must lie between 1 and the CPU
-    count; the pool starts no more processes than there are chunks.
+    the replicates are chunked. ``workers`` must be an int (not a bool)
+    between 1 and the CPU count; the pool starts no more processes than
+    there are chunks.
     """
     # Checked before anything runs: a pool starts all its workers at once.
     max_workers = os.cpu_count() or 1
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an int, got {workers!r}")
     if not 1 <= workers <= max_workers:
         raise ValueError(f"workers must be between 1 and {max_workers}, got {workers}")
     started = time.perf_counter()

@@ -19,6 +19,9 @@ SYMMETRY_RTOL = 1e-12
 # Jitter scales tried (relative to mean diagonal) when factoring a
 # semidefinite covariance; PSD inputs such as a singular prior are legal.
 _JITTER_SCALES = (1e-14, 1e-12, 1e-10)
+# Members per matrix product: the draws and the member-wise products of the
+# filters run on whole blocks of this many members; part of the draw scheme.
+_BLOCK = 128
 
 
 class ModelFormatError(ValueError):
@@ -234,9 +237,28 @@ def apply_model(model: LinearModel, k: int, states: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"states must have {model.state_dim} rows, got shape {states.shape}"
         )
-    out = step.A @ states
+    out = _member_product(step.A, states)
     out += step.b[:, None]
     return out
+
+
+def _member_product(matrix: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """``matrix @ members`` for members as columns, taken at a width of whole
+    blocks of ``_BLOCK`` members: zero columns fill the last block and are
+    dropped.
+
+    The BLAS may round a column differently at another width of product (a
+    48-state product of 2, 33 or 129 columns does); at whole blocks it rounds
+    each column alike, so a member's bits depend neither on N nor on the
+    other members, and the tests pin that on the BLAS they run with.
+    """
+    n = members.shape[-1]
+    width = -(-n // _BLOCK) * _BLOCK
+    if width == n:
+        return matrix @ members
+    padded = np.zeros(members.shape[:-1] + (width,))
+    padded[..., :n] = members
+    return np.ascontiguousarray((matrix @ padded)[..., :n])
 
 
 # ---------------------------------------------------------------------------

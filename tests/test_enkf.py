@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from enkf_lab import (
     sample_cov,
     sample_mean,
 )
-from enkf_lab.enkf import chunk_errors
+from enkf_lab.enkf import _errors, chunk_errors, reference_step
 
 
 class TestForecastAndGain:
@@ -167,7 +168,8 @@ class TestCoupledStep:
         model, init = scalar
         run = coupled_run(model, init, 0, 0, 8, kf_trajectory=scalar_kf)
         with pytest.raises(ValueError, match="out of range"):
-            coupled_step(run[3], model, run[3].enkf_ensemble, scalar_kf)
+            coupled_step(run[3], model, run[3].enkf_ensemble, run[3].reference_ensemble,
+                         scalar_kf)
 
 
 class TestCoupledRun:
@@ -195,18 +197,23 @@ class TestCoupledRun:
                 sa.reference_ensemble, sb.reference_ensemble
             )
 
-    def test_reference_trajectory_prefix_stable_in_n(self, reference, reference_kf):
-        # the exact gain does not depend on N and the data draws share
-        # prefixes, so the U chain of the first members is size-independent;
-        # the X chain is not (its gain sees every member)
-        model, init = reference
-        small = coupled_run(model, init, 0, 3, 8, kf_trajectory=reference_kf)
-        big = coupled_run(model, init, 0, 3, 512, kf_trajectory=reference_kf)
-        for k in range(len(small)):
-            assert np.array_equal(
-                big[k].reference_ensemble[:, :8],
-                small[k].reference_ensemble,
-            )
+    def test_reference_trajectory_prefix_stable_in_n(self, reference):
+        # the exact gain does not depend on N, the data draws share prefixes
+        # and the member-wise products run on whole blocks of members, so the
+        # U chain of the first members is size-independent, bit for bit, also
+        # at the widths 2, 33 and 129, whose 48-state products the BLAS rounds
+        # differently; the X chain is not (its gain sees every member)
+        for (model, init), big_n, sizes in ((reference, 512, (8,)),
+                                            (_random_model(48, 12, 3), 300, (2, 33, 129))):
+            trajectory = kf_run(model, init)
+            big = coupled_run(model, init, 0, 3, big_n, kf_trajectory=trajectory)
+            for n in sizes:
+                small = coupled_run(model, init, 0, 3, n, kf_trajectory=trajectory)
+                for k in range(len(small)):
+                    assert np.array_equal(
+                        big[k].reference_ensemble[:, :n],
+                        small[k].reference_ensemble,
+                    )
 
     def test_coupling_identity_every_step(self, reference, reference_kf):
         model, init = reference
@@ -296,11 +303,13 @@ def _odd_model():
 
 
 class TestReplicateErrors:
-    @pytest.mark.parametrize("problem", ["scalar", "reference", "odd"])
+    @pytest.mark.parametrize("problem", ["scalar", "reference", "odd", "random48"])
     def test_matches_coupled_run_at_every_n(self, request, problem):
         # slices of the largest draw give bit-identical chains at every N
         if problem == "odd":
             model, init = _odd_model()
+        elif problem == "random48":
+            model, init = _random_model(48, 12, 3)
         else:
             model, init = request.getfixturevalue(problem)
         trajectory = kf_run(model, init)
@@ -398,6 +407,40 @@ class TestReplicateErrors:
                 expected[0, 1, 1:] = np.nan
             assert np.array_equal(scalars[r], expected[0], equal_nan=True)
 
+    def test_draws_at_the_largest_running_n(self, scalar, scalar_kf, fail_chains,
+                                           monkeypatch):
+        # once N = 256 fails at step 1, the later draws serve N = 4 and 8
+        # only, at the width of U's block
+        import enkf_lab.enkf as enkf
+
+        model, init = scalar  # 3 steps
+        n_grid = (4, 8, 256)
+        clean, _ = chunk_errors(model, init, 0, (0,), n_grid, scalar_kf)
+        fail_chains({0}, 256)
+        armed, widths = enkf.perturb_data, []
+
+        def perturb_data(seed, replicate, k, n, data, r_cov):
+            widths.append(n)
+            return armed(seed, replicate, k, n, data, r_cov)
+
+        monkeypatch.setattr(enkf, "perturb_data", perturb_data)
+        scalars, failures = chunk_errors(model, init, 0, (0,), n_grid, scalar_kf)
+        assert failures == {0: {256: "RuntimeError: synthetic failure"}}
+        assert widths == [256, 128, 128]
+        assert np.array_equal(scalars[0, :2], clean[0, :2], equal_nan=True)
+
+    def test_scalars_read_member_one_of_u_only(self, reference, reference_kf):
+        # the kernel carries U's block 0 alone, and the scalars read nothing
+        # of U but its member 1
+        model, init = reference
+        run = coupled_run(model, init, 3, 0, 16, kf_trajectory=reference_kf)
+        for k, state in enumerate(run):
+            blanked = state.reference_ensemble.copy()
+            blanked[:, 1:] = np.nan
+            exact = reference_kf.analysis(k)
+            assert np.array_equal(_errors(replace(state, reference_ensemble=blanked), exact),
+                                  _errors(state, exact), equal_nan=True)
+
 
 @st.composite
 def problems(draw):
@@ -493,9 +536,9 @@ class TestCarriedCovariance:
         model, init = scalar  # 3 steps
         run_study(StudyConfig(model=model, init=init, n_grid=(4, 8, 16), replicates=3,
                               p_list=(2.0,)))
-        # One chunk: per N, 4 states with one sample covariance each, and 5
-        # forecasts, since X and U share their step-1 forecast.
-        assert calls == {"sample_cov": 3 * 4, "apply_model": 3 * (1 + 2 + 2)}
+        # One chunk: per N, 4 states with one sample covariance each; per
+        # step, one X forecast per N and one forecast of U's block 0.
+        assert calls == {"sample_cov": 3 * 4, "apply_model": 3 * (3 + 1)}
 
     @pytest.mark.parametrize("problem", ["reference", "random"])
     @pytest.mark.parametrize("replicate", [4, (0, 1, 2)])
@@ -513,7 +556,8 @@ class TestCarriedCovariance:
             error = np.linalg.norm(carried - direct, axis=(-2, -1))
             assert (error <= 1e-12 * np.linalg.norm(direct, axis=(-2, -1))).all()
             data = perturb_data(5, replicate, k, 32, step.data, step.R)
-            state = coupled_step(state, model, data, trajectory)
+            u = reference_step(model, k, state.reference_ensemble, data, trajectory)
+            state = coupled_step(state, model, data, u, trajectory)
         assert np.array_equal(state.enkf_cov, sample_cov(state.enkf_ensemble))
 
 
@@ -533,15 +577,14 @@ class TestReferenceEnsembleLaw:
     def test_sample_moments_match_closed_forms(self, reference, reference_kf, n):
         model, init = reference
         seed, replicates = 11, range(self.REPLICATES)
-        x = init_ensemble(seed, replicates, n, init)
-        state = CoupledState(x, x, sample_cov(x), step=0)
+        u = init_ensemble(seed, replicates, n, init)
         for k in range(1, 6):
             step = model.step(k)
             data = perturb_data(seed, replicates, k, n, step.data, step.R)
-            state = coupled_step(state, model, data, reference_kf)
+            u = reference_step(model, k, u, data, reference_kf)
             if k not in (1, 5):
                 continue
-            u, exact = state.reference_ensemble, reference_kf.analysis(k)
+            exact = reference_kf.analysis(k)
             q_fro2, q_trace = (exact.cov ** 2).sum(), np.trace(exact.cov)
             closed = {
                 "mean": q_trace / n,

@@ -641,16 +641,23 @@ class TestRunStudy:
         assert [(row.metric, row.k) for row in report.moment_flags] == [
             (f"moment_p{p}", k) for p in (2, 10) for k in range(4)]
 
-    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1])
+    @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1, 1.5, True])
     def test_workers_out_of_range_rejected(self, scalar, monkeypatch, workers):
-        # Checked before any study work: no pool of the requested size starts.
+        # Checked before any study work: no pool of the requested size starts,
+        # and a bool or a non-integer is no worker count.
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started despite a bad workers count")
 
+        def no_work(*args, **kwargs):
+            raise AssertionError("the study ran despite a bad workers count")
+
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(experiment, "kf_run", no_work)
         model, init = scalar
         config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16), replicates=3)
-        with pytest.raises(ValueError, match=f"between 1 and {os.cpu_count() or 1}, got"):
+        bound = ("an int" if isinstance(workers, (bool, float))
+                 else f"between 1 and {os.cpu_count() or 1}")
+        with pytest.raises(ValueError, match=f"workers must be {bound}, got {workers}"):
             run_study(config, workers=workers)
 
     def test_one_pool_per_study(self, scalar, monkeypatch):
