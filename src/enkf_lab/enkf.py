@@ -11,19 +11,19 @@ X is A C A^T of its analysis sample covariance C, which each state carries:
 a step forms one sample covariance, of its X analysis.
 
 Member i of U depends only on its own draws and the exact gains, not on N.
-The member-wise products of both ensembles run on whole blocks of ``_BLOCK``
-members, the draws' own block size, so each member's bits depend on neither
-N nor the other members either: U at any N is the prefix of U at a larger N,
-bit for bit. ``reference_step`` advances U; ``coupled_step`` advances X and
-takes U from its caller.
+The member-wise products of both ensembles go through ``_member_product``,
+as the draws' G z does, so each member's bits depend on neither N nor the other
+members either: U at any N is the prefix of U at a larger N, bit for bit.
+``reference_step`` advances U; ``coupled_step`` advances X and takes U from
+its caller.
 
 The step functions take one m x N ensemble array or a (B, m, N) stack of
 ensembles of one size and treat each slice of a stack exactly as they would
 treat it alone, bit for bit. ``coupled_run`` advances one chain;
 ``chunk_errors``, the study kernel, advances the chains of a chunk of
-replicates as one stack per ensemble size, and U's first ``_BLOCK``
-members once for them all; a size that fails in a stack runs again on each
-half of the stack, down to single replicates.
+replicates as one stack per ensemble size, and U's member 1 once for them
+all; a size that fails in a stack runs again on each half of the stack, down
+to single replicates.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .ensemble import init_ensemble, perturb_data, sample_cov, sample_mean
 from .kf import KalmanTrajectory, _forecast_cov, kf_gain, kf_run
-from .model import _BLOCK, GaussianState, LinearModel, _member_product, apply_model
+from .model import GaussianState, LinearModel, _member_product, apply_model
 
 # Test hook: maps a step index to a replacement for the forecast sample
 # covariance used in the gain computation.
@@ -50,9 +50,8 @@ class CoupledState:
     The ensembles may be stacks of B chains, with stacks of B covariances and
     B ensemble gains, and the one exact gain of the step. The reference
     ensemble holds at least member 1 of U: ``coupled_run`` keeps N members,
-    the study kernel the first ``_BLOCK`` at any N. At step 0 the ensembles
-    are one and the same array; the gains are None because no analysis has
-    happened yet.
+    the study kernel member 1 alone. At step 0 the ensembles are one and the
+    same array; the gains are None because no analysis has happened yet.
     """
 
     enkf_ensemble: np.ndarray
@@ -202,14 +201,14 @@ def chunk_errors(
     ``n_grid``, as one stack of chains per N.
 
     Steps are the outer loop and N the inner one. Each step makes one draw
-    call for the chunk, at the largest running N and at least ``_BLOCK``
-    wide, and advances U's first ``_BLOCK`` members once for the chunk: the
-    scalars read member 1 of U only. By the prefix property the first n
-    columns of each replicate's slice are its size-n draw, and U's members
-    are the first of every larger U, so every chain is bit-identical to
-    ``coupled_run`` of its replicate at that n. Each stacked state is
-    reduced at once to the five scalars of the column constants above, so
-    one stacked state per N and one step's draws are alive at a time.
+    call for the chunk, at the largest running N, and advances U's member 1
+    alone once for the chunk: the scalars read nothing else of U. By the
+    prefix property the first n columns of each replicate's slice are its
+    size-n draw, and U's member 1 is that of every larger U, so every chain
+    is bit-identical to ``coupled_run`` of its replicate at that n. Each
+    stacked state is reduced at once to the five scalars of the column
+    constants above, so one stacked state per N and one step's draws are
+    alive at a time.
 
     Returns the scalars, shape (len(replicates), len(n_grid), steps + 1, 5),
     NaN where there is none (the gain at step 0, a failed chain), and a map
@@ -233,15 +232,15 @@ def chunk_errors(
         running = [j for j, n in enumerate(n_grid) if n not in failed]
         if not running:
             break
-        width = max(max(n_grid[j] for j in running), _BLOCK)
+        width = max(n_grid[j] for j in running)
         try:  # one (B, m, width) draw and one step of U for the whole chunk
             if k == 0:
                 draws = init_ensemble(seed, replicates, width, init)
-                reference = np.ascontiguousarray(draws[..., :_BLOCK])
+                reference = np.ascontiguousarray(draws[..., :1])
             else:
                 step = model.step(k)
                 draws = perturb_data(seed, replicates, k, width, step.data, step.R)
-                reference = reference_step(model, k, reference, draws[..., :_BLOCK],
+                reference = reference_step(model, k, reference, draws[..., :1],
                                            kf_trajectory)
         except Exception as exc:  # reported per (replicate, N) by run_study
             failed.update((n_grid[j], f"{type(exc).__name__}: {exc}") for j in running)

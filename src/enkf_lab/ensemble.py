@@ -11,13 +11,13 @@ keyed by (seed, replicate, step, role), hashed once into a Philox key (Salmon
 et al., SC'11). NumPy's ziggurat (Marsaglia & Tsang, 2000), through
 Generator.standard_normal, fills the normals from that stream member by
 member: member i of an m-dimensional draw is normals [i*m, (i+1)*m). Then
-mean + G z, G the Cholesky factor, is taken as one matrix product of the same
-shape per block of _BLOCK members. Draws therefore depend neither on
+mean + G z, G the Cholesky factor, takes G z through the filters' own
+member-wise product, model._member_product. Draws therefore depend neither on
 evaluation order, nor on ensemble size, nor on the other replicates of a call:
 the first N members of a larger ensemble are bit-identical to the size-N
 ensemble. NEP 19 keeps raw Philox words stable across NumPy versions but not
-the normals standard_normal makes of them, and the block product's bits rest
-on the BLAS; the golden report digest of the tests catches either change,
+the normals standard_normal makes of them, and the product's bits rest on
+the BLAS; the golden report digest of the tests catches either change,
 which then needs a new DRAW_SCHEME.
 """
 
@@ -34,7 +34,7 @@ import numpy as np
 # every pool worker, forked anew for each study, would import it again.
 from numpy.random import Generator, Philox
 
-from .model import _BLOCK, GaussianState, _cov_factor
+from .model import GaussianState, _cov_factor, _member_product
 
 _KEY_STRUCT = struct.Struct("<Qqqq")
 
@@ -114,17 +114,15 @@ def _draw_ensemble(
     bits = Philox(0)
     normals = Generator(bits)
     state = bits.state
-    batch, blocks = len(replicates), -(-n // _BLOCK)
-    z = np.empty((batch, blocks, _BLOCK, dim))
+    z = np.empty((len(replicates), n, dim))
     for b, replicate in enumerate(replicates):
         state["state"]["key"] = DrawKey(seed, replicate, step, role).philox_key()
         bits.state = state
         normals.standard_normal(out=z[b])
-    # One product of the same shape per block, so a member's bits depend on
-    # neither n nor the other replicates; the last block's padding is dropped.
-    gz = (z @ factor.T).reshape(batch, blocks * _BLOCK, dim)
-    members = np.empty((batch, dim, n))
-    np.add(gz[:, :n].mT, mean[:, None], out=members)
+    # G z member by member, so a member's bits depend on neither n nor the
+    # other replicates.
+    members = _member_product(factor, z.mT)
+    members += mean[:, None]
     return members[0] if single else members
 
 

@@ -203,8 +203,6 @@ def member_lp_error(scalars, p: float) -> Estimate:
     replicates, of member 1 or of a replicate's member average, is valid,
     because replicates are independent.
     """
-    if len(scalars) < 2:
-        raise ValueError("member_lp_error needs at least 2 replicates")
     return _lp_estimate(_by_step(scalars, MEMBER_DIFF), p)
 
 

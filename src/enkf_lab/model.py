@@ -19,8 +19,9 @@ SYMMETRY_RTOL = 1e-12
 # Jitter scales tried (relative to mean diagonal) when factoring a
 # semidefinite covariance; PSD inputs such as a singular prior are legal.
 _JITTER_SCALES = (1e-14, 1e-12, 1e-10)
-# Members per matrix product: the draws and the member-wise products of the
-# filters run on whole blocks of this many members; part of the draw scheme.
+# Members per matrix product: _member_product, which takes the draws' G z
+# and the filters' member-wise products, runs on whole blocks of this many
+# members; part of the draw scheme.
 _BLOCK = 128
 
 

@@ -410,7 +410,7 @@ class TestReplicateErrors:
     def test_draws_at_the_largest_running_n(self, scalar, scalar_kf, fail_chains,
                                            monkeypatch):
         # once N = 256 fails at step 1, the later draws serve N = 4 and 8
-        # only, at the width of U's block
+        # only, 8 wide
         import enkf_lab.enkf as enkf
 
         model, init = scalar  # 3 steps
@@ -426,12 +426,12 @@ class TestReplicateErrors:
         monkeypatch.setattr(enkf, "perturb_data", perturb_data)
         scalars, failures = chunk_errors(model, init, 0, (0,), n_grid, scalar_kf)
         assert failures == {0: {256: "RuntimeError: synthetic failure"}}
-        assert widths == [256, 128, 128]
+        assert widths == [256, 8, 8]
         assert np.array_equal(scalars[0, :2], clean[0, :2], equal_nan=True)
 
     def test_scalars_read_member_one_of_u_only(self, reference, reference_kf):
-        # the kernel carries U's block 0 alone, and the scalars read nothing
-        # of U but its member 1
+        # the kernel carries U's member 1 alone, and the scalars read nothing
+        # else of U
         model, init = reference
         run = coupled_run(model, init, 3, 0, 16, kf_trajectory=reference_kf)
         for k, state in enumerate(run):

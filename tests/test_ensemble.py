@@ -150,6 +150,24 @@ class TestGaussianDraw:
         assert np.abs(draws[1]).max() < 1e-4
 
 
+def scheme_4_shapes(test):
+    """Parametrize over state dims up to the wide benchmark's 48, widths
+    within, across and far beyond one 128-member block, and an int
+    replicate or a sequence of three."""
+    test = pytest.mark.parametrize("m", [1, 4, 12, 48], ids="m{}".format)(test)
+    test = pytest.mark.parametrize("n", [2, 33, 129, 4096], ids="n{}".format)(test)
+    return pytest.mark.parametrize("replicates", [4, (4, 0, 9)], ids=["int", "seq"])(test)
+
+
+def _scheme_4_oracle(seed, replicates, step, role, n, mean, cov):
+    # gaussian_draw_blocks on a fresh stream per replicate, stacked as the
+    # library stacks a sequence of replicates.
+    factor = np.linalg.cholesky(cov)
+    draws = [gaussian_draw_blocks(DrawKey(seed, r, step, role).philox_key(), n, mean, factor)
+             for r in np.atleast_1d(replicates)]
+    return draws[0] if isinstance(replicates, int) else np.stack(draws)
+
+
 class TestInitEnsemble:
     def test_prefix_property_bit_identical(self, reference):
         _, init = reference
@@ -157,14 +175,14 @@ class TestInitEnsemble:
         big = init_ensemble(42, 0, 1000, init)
         assert np.array_equal(big[:, :2], small)
 
-    def test_member_owns_its_counter_words(self, reference):
+    @scheme_4_shapes
+    def test_member_owns_its_counter_words(self, m, n, replicates):
         # Member i is normals [i*m, (i+1)*m) of the keyed standard_normal
-        # stream, m = 4 here, pushed through the Cholesky factor one
-        # 128-member block at a time; 300 members span three blocks.
-        _, init = reference
-        ens = init_ensemble(9, 4, 300, init)
-        key = DrawKey(9, 4, 0, Role.INIT).philox_key()
-        expected = gaussian_draw_blocks(key, 300, init.mean, np.linalg.cholesky(init.cov))
+        # stream, pushed through the Cholesky factor one 128-member block at
+        # a time: widths below, across and far beyond one block.
+        mean, cov = _random_gaussian(m, m)
+        ens = init_ensemble(9, replicates, n, GaussianState(mean, cov))
+        expected = _scheme_4_oracle(9, replicates, 0, Role.INIT, n, mean, cov)
         assert ens.tobytes() == expected.tobytes()
 
     def test_degenerate_prior_collapses(self):
@@ -185,6 +203,13 @@ class TestInitEnsemble:
 
 
 class TestPerturbData:
+    @scheme_4_shapes
+    def test_member_owns_its_counter_words(self, m, n, replicates):
+        d, r_cov = _random_gaussian(m + 1, m)
+        ens = perturb_data(9, replicates, 3, n, d, r_cov)
+        expected = _scheme_4_oracle(9, replicates, 3, Role.DATA_PERTURBATION, n, d, r_cov)
+        assert ens.tobytes() == expected.tobytes()
+
     def test_prefix_property(self):
         d = np.array([1.0, 2.0])
         r = np.array([[0.5, 0.1], [0.1, 0.4]])

@@ -120,9 +120,14 @@ class TestMemberLpError:
                 assert row.estimate == pytest.approx(value, rel=1e-12)
                 assert row.stderr == pytest.approx(stderr, rel=1e-9)
 
-    def test_needs_two_replicates(self, scalar_rows):
-        with pytest.raises(ValueError, match="2 replicates"):
-            member_lp_error(scalar_rows[16][:1], 2)
+    def test_one_replicate_has_a_nan_stderr(self, scalar_rows):
+        # one rule for all four estimators, as Estimate documents it
+        one = scalar_rows[16][:1]
+        mean, cov = mean_cov_error(one)
+        for est in (member_lp_error(one, 2), member_moment(one, 2), mean, cov,
+                    gain_error(one)):
+            assert np.isfinite(est.value[1:]).all()
+            assert np.isnan(est.stderr).all()
 
 
 class TestMeanCovError:
