@@ -119,8 +119,8 @@ def _draw_ensemble(
         state["state"]["key"] = DrawKey(seed, replicate, step, role).philox_key()
         bits.state = state
         normals.standard_normal(out=z[b])
-    # G z member by member, so a member's bits depend on neither n nor the
-    # other replicates.
+    # G z through the filters' member-wise product, so a member's bits
+    # depend on neither n nor the other replicates.
     members = _member_product(factor, z.mT)
     members += mean[:, None]
     return members[0] if single else members
