@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .enkf import coupled_run
-from .experiment import Metric, StudyConfig, StudyFormatError, run_study
+from .experiment import (Metric, StudyConfig, StudyFormatError, WorkerError, _blas_threads,
+                         run_study)
 from .jsonio import write_canonical_json
 from .kf import kf_run
 from .model import GaussianState, LinearModel, ModelFormatError, ValidationError, load_model
@@ -56,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write replicate 0's ensembles and gains per N as .npy arrays",
     )
     p_study.add_argument(
-        "--workers", type=int, default=1, help="max parallel replicate workers"
+        "--workers", type=int, default=1, help="processes that share the replicates"
     )
     return parser
 
@@ -174,6 +175,9 @@ def cmd_study(model_path: str, study_path: str, out_dir: str,
         if row.flagged:
             print(f"{row.metric} k={row.k}: explosion flag RAISED "
                   f"(max/min={row.max_over_min:.2f})")
+    if workers > 1 and _blas_threads() is None:
+        print("note: no OpenBLAS thread setter was found, so each worker runs BLAS "
+              "with its default thread count", file=sys.stderr)
     for role, eps in report.metadata.get("cov_jitter", {}).items():
         print(f"note: the {role} covariance is only semidefinite; its draws factor it "
               f"with {eps:g} x its mean diagonal added", file=sys.stderr)
@@ -208,7 +212,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, FloatingPointError, OverflowError) as exc:
+    except (ValueError, FloatingPointError, OverflowError, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 # Imported with the module: numpy loads numpy.random lazily, and otherwise
-# every pool worker, forked anew for each study, would import it again.
+# every worker child, forked anew for each study, would import it again.
 from numpy.random import Generator, Philox
 
 from .model import GaussianState, _cov_factor, _member_product

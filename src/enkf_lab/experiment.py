@@ -18,12 +18,14 @@ metric.
 
 from __future__ import annotations
 
+# concurrent.futures is not used here; bench/spans.py patches it.
 import concurrent.futures
 import ctypes
 import functools
 import hashlib
 import math
 import os
+import pickle
 import sys
 import time
 from collections.abc import Iterable
@@ -382,10 +384,6 @@ def config_hash(config: StudyConfig) -> str:
     return digest.hexdigest()
 
 
-def _chunk_task(args):
-    return chunk_errors(*args)
-
-
 @functools.cache
 def _keep_freed_memory() -> None:
     """Let glibc's malloc keep freed memory of this process for reuse.
@@ -394,8 +392,8 @@ def _keep_freed_memory() -> None:
     glibc maps the largest afresh each time and gives the top of the heap
     back to the kernel, so every new page faults in again. Raising both
     thresholds keeps those pages in the heap. Where the C library has no
-    mallopt, nothing changes. Runs once per process; a forked pool worker
-    inherits the setting.
+    mallopt, nothing changes. Runs once per process; a forked replicate
+    worker inherits the setting.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -409,16 +407,97 @@ def _keep_freed_memory() -> None:
     mallopt(-1, 64 << 20)
 
 
+class WorkerError(RuntimeError):
+    """A forked replicate worker raised, or died before sending its result."""
+
+
+@functools.cache
+def _blas_threads():
+    """The thread-count getter and setter of the OpenBLAS in this process,
+    found by name in its memory map; None where there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    for lib in libs:
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("set")):
+                get, put = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+                get.restype, put.argtypes, put.restype = ctypes.c_int, (ctypes.c_int,), None
+                return get, put
+    return None
+
+
+def _serve(group: list, pipe: int) -> None:
+    # In a forked child: send the share's results, or what it raised, and
+    # leave through os._exit, so the parent's finally blocks, atexit hooks
+    # and buffered output do not run twice.
+    try:
+        try:
+            share = [chunk_errors(*task) for task in group]
+        except BaseException as exc:
+            share = WorkerError(f"a replicate worker raised {type(exc).__name__}: {exc}")
+        with open(pipe, "wb") as fh:
+            pickle.dump(share, fh, pickle.HIGHEST_PROTOCOL)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
+def _run_chunks(tasks: list, workers: int) -> list:
+    """chunk_errors of every task, in task order: this process computes the
+    first of min(workers, len(tasks)) contiguous groups of tasks, one forked
+    child each of the others, and OpenBLAS one thread per process meanwhile.
+    A child's error or death raises WorkerError; none outlives the call."""
+    count = min(workers, len(tasks))
+    groups = [tasks[len(tasks) * g // count:len(tasks) * (g + 1) // count] for g in range(count)]
+    get, put = (count > 1 and _blas_threads()) or (None, None)
+    threads = get() if get else None
+    children = []  # (pid, read end of its pipe), in group order
+    try:
+        if put:
+            put(1)
+        for group in groups[1:]:
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                _serve(group, write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [chunk_errors(*task) for task in groups[0]]
+        while children:
+            with children[0][1] as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(children[0][0], 0)[1])
+            children.pop(0)
+            if status:
+                how = f"signal {-status}" if status < 0 else f"exit status {status}"
+                raise WorkerError(f"a replicate worker died before sending its result ({how})")
+            share = pickle.loads(data)
+            if isinstance(share, WorkerError):
+                raise share
+            results += share
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, 9)  # SIGKILL; importing signal would add 1 ms to start-up
+            os.waitpid(pid, 0)
+        if put:
+            put(threads)
+
+
 def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
     """Run the full replicated study and assemble the convergence report.
 
     Deterministic given the config: replicate indices feed the draw keys, so
     the result does not depend on scheduling, on the worker count or on how
     the replicates are chunked. ``workers`` must be an int (not a bool)
-    between 1 and the CPU count; the pool starts no more processes than
-    there are chunks.
+    between 1 and the CPU count. One worker forks nothing; W fork at most
+    W - 1 children, and no more than there are chunks after the first.
     """
-    # Checked before anything runs: a pool starts all its workers at once.
+    # Checked before anything runs, so that a bad count forks nothing.
     max_workers = os.cpu_count() or 1
     if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
         raise ValueError(f"workers must be an int, got {workers!r}")
@@ -432,19 +511,14 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
 
     # One task per chunk of replicates; each returns its scalars for every
     # (replicate, N, k).
-    chunk = max(1, CHUNK_ELEMENTS // (config.model.state_dim * max(config.n_grid)))
-    if workers > 1:
-        chunk = min(chunk, -(-config.replicates // workers))
+    chunk = min(max(1, CHUNK_ELEMENTS // (config.model.state_dim * max(config.n_grid))),
+                -(-config.replicates // workers))
     tasks = [
         (config.model, config.init, config.seed,
          range(start, min(start + chunk, config.replicates)), config.n_grid, kf_trajectory)
         for start in range(0, config.replicates, chunk)
     ]
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = list(pool.map(_chunk_task, tasks))
-    else:
-        results = [_chunk_task(task) for task in tasks]
+    results = _run_chunks(tasks, workers)
     # (replicates, N, steps + 1, 5), and each failed replicate's {N: error}
     scalars = np.concatenate([chunk_scalars for chunk_scalars, _ in results])
     lost = {r: errors for _, failed in results for r, errors in failed.items()}

@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -532,17 +533,88 @@ class TestStudyCommand:
     def test_workers_out_of_range_exit_one(self, scalar_model_file, study_file,
                                            tmp_path, capsys, monkeypatch, workers):
         # run_study checks the bound before any study work; fail loudly
-        # otherwise rather than start a pool of the requested size.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started despite a bad --workers")
+        # otherwise rather than fork a worker.
+        def no_fork():
+            raise AssertionError("a worker was forked despite a bad --workers")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         out = tmp_path / "out"
         assert main(["study", str(scalar_model_file), str(study_file),
                      "-o", str(out), "--workers", str(workers)]) == 1
         assert f"workers must be between 1 and {os.cpu_count() or 1}" in capsys.readouterr().err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("fault", ["raise", "kill"])
+    def test_failed_worker_exit_one(self, scalar_model_file, study_file, tmp_path,
+                                    capsys, monkeypatch, fault):
+        # A child that raises or dies ends the study with one error line.
+        caller, real = os.getpid(), experiment.chunk_errors
+
+        def share(*args):
+            if os.getpid() != caller:
+                if fault == "kill":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise MemoryError("no room")
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "chunk_errors", share)
+        out = tmp_path / "out"
+        assert main(["study", str(scalar_model_file), str(study_file),
+                     "-o", str(out), "--workers", "2"]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == ("error: a replicate worker raised MemoryError: no room" if fault == "raise"
+                        else "error: a replicate worker died before sending its result "
+                             "(signal 9)")
+        assert not out.exists()
+
+    def test_note_without_blas_thread_setter(self, scalar_model_file, study_file, tmp_path,
+                                             capsys, monkeypatch):
+        # Where no OpenBLAS setter is found, two workers say so once; one
+        # worker pins nothing and says nothing.
+        monkeypatch.setattr(enkf_lab.cli, "_blas_threads", lambda: None)
+        args = ["study", str(scalar_model_file), str(study_file), "-o", str(tmp_path / "out")]
+        assert main(args + ["--workers", "2"]) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("note:")]
+        assert notes == ["note: no OpenBLAS thread setter was found, so each worker runs "
+                         "BLAS with its default thread count"]
+        assert main(args) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_two_workers_in_the_default_environment(scalar_model_file, tmp_path):
+    # The command line as a user runs it, with OpenBLAS's own thread count
+    # (every *_NUM_THREADS variable removed): two workers exit 0 within the
+    # timeout, write the one-worker outputs byte for byte and leave no
+    # process of their session behind.
+    study = tmp_path / "study.json"
+    study.write_text(json.dumps({"n_grid": [4, 16, 64, 256], "replicates": 8, "seed": 3}))
+    src = str(Path(enkf_lab.__file__).parents[1])
+    env = {key: value for key, value in os.environ.items() if not key.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    written = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"out{workers}"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "enkf_lab.cli", "study", str(scalar_model_file), str(study),
+             "-o", str(out), "--workers", workers],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            _, err = proc.communicate(timeout=120)
+        finally:
+            if proc.returncode is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 0, err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+        report = json.loads((out / "report.json").read_text())
+        report["metadata"].pop("timestamp")
+        written.append([report] + [(out / name).read_bytes()
+                                   for name in ("estimates.csv", "rates.csv")])
+    assert written[0] == written[1]
 
 # Arbitrary JSON: small integers keep any size or repeat count a model or
 # study file might take from it small.

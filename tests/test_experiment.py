@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import json
 import os
+import signal
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -375,6 +377,32 @@ class TestStudyConfig:
         assert all(type(v) is int for v in (*config.n_grid, config.replicates))
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def raise_in_share():
+    raise RuntimeError("the child's share failed")
+
+
+def die_in_share():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.fixture
+def deadline():
+    """Fails a test that would hang with TimeoutError after 60 s."""
+    def expire(signum, frame):
+        raise TimeoutError("the study hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 class TestRunStudy:
     def small_config(self, scalar, seed=0):
         model, init = scalar
@@ -648,15 +676,15 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("workers", [0, -1, (os.cpu_count() or 1) + 1, 1.5, True])
     def test_workers_out_of_range_rejected(self, scalar, monkeypatch, workers):
-        # Checked before any study work: no pool of the requested size starts,
-        # and a bool or a non-integer is no worker count.
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started despite a bad workers count")
+        # Checked before any study work: nothing forks, and a bool or a
+        # non-integer is no worker count.
+        def no_fork():
+            raise AssertionError("a worker was forked despite a bad workers count")
 
         def no_work(*args, **kwargs):
             raise AssertionError("the study ran despite a bad workers count")
 
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(experiment, "kf_run", no_work)
         model, init = scalar
         config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16), replicates=3)
@@ -665,24 +693,26 @@ class TestRunStudy:
         with pytest.raises(ValueError, match=f"workers must be {bound}, got {workers}"):
             run_study(config, workers=workers)
 
-    def test_one_pool_per_study(self, scalar, monkeypatch):
-        import concurrent.futures
+    def test_one_fork_per_extra_worker(self, scalar, monkeypatch):
+        # The caller computes the first share: W workers fork W - 1
+        # children per study, and one worker forks none.
+        real_fork, forks = os.fork, []
 
-        started = []
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        class CountingPool(concurrent.futures.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                started.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         model, init = scalar
         config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16),
                              replicates=3, p_list=(2.0,))
-        run_study(config, workers=2)
-        assert started == [{"max_workers": 2}]
-        run_study(config)
-        assert len(started) == 1
+        for workers, expected in ((2, 1), (3, 3), (1, 3)):
+            run_study(config, workers=workers)
+            assert len(forks) == expected, workers
+        assert_no_child_left()
 
     def test_all_zero_metric_gets_no_rate_fit(self, scalar):
         model, init = scalar
@@ -695,6 +725,104 @@ class TestRunStudy:
         row = report.rate("member_lp_p2", 1)
         assert row.points_used == 3
         assert row.dropped_nonpositive == 0
+
+
+class TestForkedWorkers:
+    """run_study(config, workers=2) computes the first share of the chunks
+    itself and forks one child for the second; no child outlives the call."""
+
+    @staticmethod
+    def config(scalar):
+        model, init = scalar
+        # two chunks of 2 replicates: one for the caller, one for the child
+        return StudyConfig(model=model, init=init, n_grid=(4, 8, 16), replicates=4,
+                           p_list=(2.0,))
+
+    def test_no_child_survives(self, scalar, deadline):
+        run_study(self.config(scalar), workers=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_callers_error_kills_the_child(self, scalar, monkeypatch, deadline, error):
+        # The child would sleep for minutes; the caller's error kills it.
+        caller = os.getpid()
+
+        def share(*args):
+            if os.getpid() == caller:
+                raise error("the caller's share failed")
+            time.sleep(300)
+
+        monkeypatch.setattr(experiment, "chunk_errors", share)
+        with pytest.raises(error, match="the caller's share failed"):
+            run_study(self.config(scalar), workers=2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fault, message", [
+        (raise_in_share, "a replicate worker raised RuntimeError: the child's share failed"),
+        (die_in_share, r"a replicate worker died before sending its result \(signal 9\)"),
+    ], ids=["raises", "killed"])
+    def test_childs_fault_raises_worker_error(self, scalar, monkeypatch, deadline,
+                                              fault, message):
+        caller, real = os.getpid(), experiment.chunk_errors
+
+        def share(*args):
+            if os.getpid() != caller:
+                fault()
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "chunk_errors", share)
+        with pytest.raises(experiment.WorkerError, match=message):
+            run_study(self.config(scalar), workers=2)
+        assert_no_child_left()
+
+    def test_blas_threads_pinned_while_children_run(self, scalar, monkeypatch, deadline):
+        # One OpenBLAS thread in the caller's share at two workers, none
+        # pinned at one worker, and the count before the study comes back.
+        blas = experiment._blas_threads()
+        if blas is None:
+            pytest.skip("no OpenBLAS thread setter in this process")
+        get, put = blas
+        before, seen, real = get(), [], experiment.chunk_errors
+
+        def share(*args):
+            seen.append(get())
+            return real(*args)
+
+        monkeypatch.setattr(experiment, "chunk_errors", share)
+        try:
+            put(2)
+            if get() != 2:
+                pytest.skip("OpenBLAS runs at most one thread here")
+            run_study(self.config(scalar), workers=2)
+            assert (seen, get()) == ([1], 2)
+            run_study(self.config(scalar), workers=1)
+            assert (seen, get()) == ([1, 2], 2)  # one chunk of 4
+        finally:
+            put(before)
+        assert_no_child_left()
+
+    def test_workers_do_not_change_written_reports(self, reference, fail_chains, tmp_path,
+                                                   deadline):
+        # A 4-state model's stacked scalars and a failure map cross the pipe:
+        # replicate 4, in the child's chunk, fails at N = 64.
+        fail_chains({4}, 64)
+        model, init = reference
+        config = StudyConfig(model=model, init=init, seed=3, n_grid=(4, 16, 64, 256),
+                             replicates=6)
+        written = []
+        for workers in (1, 2):
+            report = run_study(config, workers=workers)
+            report.metadata.pop("timestamp")
+            out = tmp_path / str(workers)
+            out.mkdir()
+            report.write_json(out / "report.json")
+            report.write_estimates_csv(out / "estimates.csv")
+            report.write_rates_csv(out / "rates.csv")
+            written.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert written[0] == written[1]
+        assert json.loads(written[0]["report.json"])["metadata"]["failures"] == {
+            "64": [{"replicate": 4, "error": "RuntimeError: synthetic failure"}]}
+        assert_no_child_left()
 
 
 class TestReportSerialization:
