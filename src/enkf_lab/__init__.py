@@ -48,10 +48,7 @@ from .experiment import (
     RateFit,
     StudyConfig,
     fit_rate,
-    gain_error,
-    mean_cov_error,
-    member_lp_error,
-    member_moment,
+    lp_estimate,
     run_study,
 )
 from .reference import reference_model, scalar_model
@@ -79,16 +76,13 @@ __all__ = [
     "coupled_step",
     "enkf_analysis",
     "fit_rate",
-    "gain_error",
     "init_ensemble",
     "kf_analysis",
     "kf_forecast",
     "kf_gain",
     "kf_run",
     "load_model",
-    "mean_cov_error",
-    "member_lp_error",
-    "member_moment",
+    "lp_estimate",
     "model_from_dict",
     "model_to_dict",
     "perturb_data",

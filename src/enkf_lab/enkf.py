@@ -149,7 +149,8 @@ def coupled_run(
 
 
 # Columns of the scalars chunk_errors keeps of each coupled state.
-MEMBER_DIFF, MEMBER_NORM, MEAN_ERR, COV_ERR, GAIN_ERR = range(5)
+COLUMNS = range(5)
+MEMBER_DIFF, MEMBER_NORM, MEAN_ERR, COV_ERR, GAIN_ERR = COLUMNS
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -160,8 +161,8 @@ def _norms(rows: np.ndarray) -> np.ndarray:
 
 
 def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
-    """The five scalars of the column constants above, for every chain of a
-    stacked state: shape (B, 5), NaN gain error at step 0."""
+    """The scalars of the column constants above, for every chain of a
+    stacked state: shape (B, len(COLUMNS)), NaN gain error at step 0."""
     x = state.enkf_ensemble
     batch = x.shape[:-2]
     # Member 1 copied to contiguous rows: a strided view rounds differently.
@@ -175,7 +176,7 @@ def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
     if state.ensemble_gain is not None:
         gain_diff = state.ensemble_gain - state.exact_gain
         rows[GAIN_ERR] = gain_diff.reshape(batch + (-1,))
-    errors = np.full(batch + (5,), np.nan)
+    errors = np.full(batch + (len(COLUMNS),), np.nan)
     for column, values in rows.items():
         errors[..., column] = _norms(values)
     # The squares of finite entries beyond about 1e154 overflow: those
@@ -206,26 +207,27 @@ def chunk_errors(
     prefix property the first n columns of each replicate's slice are its
     size-n draw, and U's member 1 is that of every larger U, so every chain
     is bit-identical to ``coupled_run`` of its replicate at that n. Each
-    stacked state is reduced at once to the five scalars of the column
-    constants above, so one stacked state per N and one step's draws are
-    alive at a time.
+    stacked state is reduced at once to the scalars of the column constants
+    above, so one stacked state per N and one step's draws are alive at a
+    time.
 
-    Returns the scalars, shape (len(replicates), len(n_grid), steps + 1, 5),
-    NaN where there is none (the gain at step 0, a failed chain), and a map
-    from each replicate with a failure to {N: "ExcType: message"}. One rule
-    serves a single replicate and a stack: a failed step stops its N, a
-    failed draw or U step every N still running, and the other sizes run on.
-    A step fails if it raises or if one of its scalars is not finite (the
-    step-0 gain aside): this one check per state stands in for checks of
-    every array the step makes. A chunk of several replicates then runs only
-    its failed sizes again, once on each half of its replicates, down to
-    single replicates, which record their first error at each N. A slice of a
-    stack is computed as it would be alone, a stack fails whenever one of its
-    slices would, and by the prefix property a rerun at fewer sizes draws the
-    same leading columns, so the result does not depend on the chunking.
+    Returns the scalars, shape (len(replicates), len(n_grid), steps + 1,
+    len(COLUMNS)), NaN where there is none (the gain at step 0, a failed
+    chain), and a map from each replicate with a failure to {N: "ExcType:
+    message"}. One rule serves a single replicate and a stack: a failed step
+    stops its N, a failed draw or U step every N still running, and the other
+    sizes run on. A step fails if it raises or if one of its scalars is not
+    finite (the step-0 gain aside): this one check per state stands in for
+    checks of every array the step makes. A chunk of several replicates then
+    runs only its failed sizes again, once on each half of its replicates,
+    down to single replicates, which record their first error at each N. A
+    slice of a stack is computed as it would be alone, a stack fails whenever
+    one of its slices would, and by the prefix property a rerun at fewer sizes
+    draws the same leading columns, so the result does not depend on the
+    chunking.
     """
     replicates = tuple(replicates)
-    errors = np.full((len(replicates), len(n_grid), len(model.steps) + 1, 5), np.nan)
+    errors = np.full((len(replicates), len(n_grid), len(model.steps) + 1, len(COLUMNS)), np.nan)
     failed: dict[int, str] = {}  # the first error at each N
     states: dict[int, CoupledState] = {}
     for k in range(len(model.steps) + 1):

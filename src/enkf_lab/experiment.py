@@ -3,23 +3,20 @@
 The study runs R independent coupled replicates in chunks. Each chunk is one
 task of ``enkf.chunk_errors``: it advances the chunk's coupled pairs at every
 ensemble size N of the grid on shared draws, as one stack of chains per N,
-and keeps five scalars per (replicate, N, step). The chunk size comes from
-the input alone: as many replicates as fit CHUNK_ELEMENTS state entries at
-the largest N, and no more than an even share of the replicates per worker.
-Chunking changes no bit of the report. From the scalars the study estimates
-per-step error metrics against the exact filter (member-wise L^p distance to
-the reference ensemble, mean and covariance consistency errors, gain error)
-plus an L^p moment monitor, and fits log-log convergence rates across the
-grid. The four public estimators take one ensemble size's scalars and
-answer for every step at once; ``run_study`` calls each once per N (and p)
-and reads the estimate rows, rate fits and moment flags from one table per
-metric.
+and keeps one scalar per column of ``enkf.COLUMNS`` for each (replicate, N,
+step). The chunk size comes from the input alone: as many replicates as fit
+CHUNK_ELEMENTS state entries at the largest N, and no more than an even
+share of the replicates per worker. Chunking changes no bit of the report.
+Every metric of METRIC_TABLE is an L^p norm over replicates of one kernel
+column, at p = 1 or at every p of ``p_list``: the member-wise distance to
+the reference ensemble, the mean, covariance and gain errors against the
+exact filter, and a moment monitor. ``lp_estimate`` answers for every step
+at once; ``run_study`` calls it once per metric label and N, fits log-log
+convergence rates across the grid and flags unbounded moments.
 """
 
 from __future__ import annotations
 
-# concurrent.futures is not used here; bench/spans.py patches it.
-import concurrent.futures
 import ctypes
 import functools
 import hashlib
@@ -35,13 +32,17 @@ from enum import Enum
 
 import numpy as np
 
-from .enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
-# coupled_run and sample_cov are not called here; bench/spans.py wraps them.
-from .enkf import chunk_errors, coupled_run
-from .ensemble import DRAW_SCHEME, _check_seed, sample_cov
+from .enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM, chunk_errors
+from .ensemble import DRAW_SCHEME, _check_seed
 from .jsonio import canonical_json, write_canonical_json
 from .kf import kf_run
 from .model import GaussianState, LinearModel, _cov_factor
+
+# Bound only for bench/spans.py, which patches or wraps these names; nothing
+# here calls them. The four estimators it wraps are lp_estimate now.
+from .enkf import coupled_run
+from .ensemble import sample_cov
+concurrent = member_lp_error = mean_cov_error = gain_error = member_moment = None
 
 # Moment estimates across the N-grid exceeding this max/min ratio raise the
 # no-explosion flag (an empirical boundedness check, not a proof).
@@ -138,16 +139,9 @@ class StudyConfig:
 
 
 # ---------------------------------------------------------------------------
-# Estimators. `scalars` is one ensemble size's scalars from
-# enkf.chunk_errors, shape (replicates, steps + 1, 5): one row per replicate.
-# Each estimator answers for every step at once, as an Estimate per step.
+# The estimator and the metric table. `scalars` is one ensemble size's scalars
+# from enkf.chunk_errors, shape (replicates, steps + 1, len(enkf.COLUMNS)).
 # ---------------------------------------------------------------------------
-
-
-def _by_step(scalars, column: int) -> np.ndarray:
-    # (steps + 1, replicates), one contiguous row per step: NumPy sums such
-    # a row pairwise, as it sums a 1-D array, so each step keeps its bits.
-    return np.ascontiguousarray(scalars[:, :, column].T)
 
 
 # Natural logs of the bounds of float64's normal range.
@@ -167,64 +161,55 @@ def _scale(values: np.ndarray, p: float) -> np.ndarray:
     ])
 
 
-def _mean_estimate(values: np.ndarray) -> Estimate:
-    # Taken of v / scale and scaled back, so that the squared deviations of
-    # the standard error stay finite for values beyond about 1e154.
+def lp_estimate(scalars, column: int, p: float) -> Estimate:
+    """(E |v|^p)^(1/p) across replicates of one column of
+    ``enkf.chunk_errors``' scalars, all norms, for every step at once: the
+    replicate average of v^p to the 1/p, its standard error mapped through
+    the 1/p power by the delta method (at p = 1, the plain average). A
+    replicate's members share its gain, so the member columns take member 1
+    alone: the replicates are independent, the members are not."""
+    # (steps + 1, replicates), one contiguous row per step: NumPy sums such
+    # a row pairwise, as it sums a 1-D array, so each step keeps its bits.
+    values = np.ascontiguousarray(scalars[:, :, column].T)
+    # Where v^p (p != 1) or the squared deviations of the standard error
+    # would leave float64's range, v / max|v| enters and is scaled back.
+    if p != 1.0:
+        outer = _scale(values, p)
+        values = (values / outer[:, None]) ** p
     scale = _scale(values, 1.0)
     values = values / scale[:, None]
-    value = scale * values.mean(axis=1)
-    if values.shape[1] < 2:
-        stderr = np.full(len(values), np.nan)
-    else:
-        stderr = scale * values.std(axis=1, ddof=1) / np.sqrt(values.shape[1])
-    return Estimate(value=value, stderr=stderr)
-
-
-def _lp_estimate(norms: np.ndarray, p: float) -> Estimate:
-    # Estimates (E |v|^p)^(1/p) by the replicate average of |v|^p; the
-    # standard error maps through the 1/p power by the delta method. Where
-    # the powers would leave float64's range, the estimate is taken of
-    # v / max|v| and scaled back by max|v|. The 1/p powers are taken of
-    # Python floats: NumPy's vectorized power can round the last bit apart.
-    scale = _scale(norms, p)
-    power = _mean_estimate((norms / scale[:, None]) ** p)
-    means = power.value.tolist()
-    value = scale * np.array([v ** (1.0 / p) for v in means])
-    # A zero mean (all norms zero) has no finite slope, but its stderr is 0
-    # (NaN for one replicate) times any finite stand-in.
+    mean = scale * values.mean(axis=1)
+    stderr = (scale * values.std(axis=1, ddof=1) / np.sqrt(values.shape[1])
+              if values.shape[1] > 1 else np.full(len(values), np.nan))
+    if p == 1.0:
+        return Estimate(value=mean, stderr=stderr)
+    # The 1/p powers are taken of Python floats: NumPy's vectorized power
+    # can round the last bit apart. A zero mean (all norms zero) has no finite
+    # slope, but its stderr is 0 (NaN for one replicate) times any stand-in.
+    means = mean.tolist()
+    value = outer * np.array([v ** (1.0 / p) for v in means])
     slope = np.array([v ** (1.0 / p - 1.0) if v else 0.0 for v in means])
-    return Estimate(value=value, stderr=scale * power.stderr * slope / p)
+    return Estimate(value=value, stderr=outer * stderr * slope / p)
 
 
-def member_lp_error(scalars, p: float) -> Estimate:
-    """L^p distance of member 1 between the EnKF and reference ensembles,
-    per step.
+@dataclass(frozen=True)
+class MetricSpec:
+    """How the study estimates one metric: by lp_estimate of one column."""
 
-    Only member 1 of each replicate enters. A replicate's members share its
-    gain, so a standard error across members would be biased; one across
-    replicates, of member 1 or of a replicate's member average, is valid,
-    because replicates are independent.
-    """
-    return _lp_estimate(_by_step(scalars, MEMBER_DIFF), p)
+    column: int  # of enkf.chunk_errors' scalars
+    of_p_list: bool  # estimated at every p of p_list, else at p = 1 alone
+    first_step: int = 0  # there is no gain at initialization
+    monitor: bool = False  # a boundedness flag per step instead of a rate fit
 
 
-def mean_cov_error(scalars) -> tuple[Estimate, Estimate]:
-    """Replicate-averaged distance of the ensemble mean to the exact filtering
-    mean (Euclidean) and of the sample covariance to the exact covariance
-    (Frobenius), per step."""
-    return (_mean_estimate(_by_step(scalars, MEAN_ERR)),
-            _mean_estimate(_by_step(scalars, COV_ERR)))
-
-
-def gain_error(scalars) -> Estimate:
-    """Replicate-averaged Frobenius distance between the ensemble gain and the
-    exact gain, per step. Step 0 is NaN: there is no gain at initialization."""
-    return _mean_estimate(_by_step(scalars, GAIN_ERR))
-
-
-def member_moment(scalars, p: float) -> Estimate:
-    """(E ||X_1||^p)^(1/p) of EnKF member 1 across replicates, per step."""
-    return _lp_estimate(_by_step(scalars, MEMBER_NORM), p)
+# One row per metric: a new metric is one kernel column and one row here.
+METRIC_TABLE = {
+    Metric.MEMBER_LP: MetricSpec(MEMBER_DIFF, of_p_list=True),
+    Metric.MEAN_ERR: MetricSpec(MEAN_ERR, of_p_list=False),
+    Metric.COV_ERR: MetricSpec(COV_ERR, of_p_list=False),
+    Metric.GAIN_ERR: MetricSpec(GAIN_ERR, of_p_list=False, first_step=1),
+    Metric.MOMENT_MONITOR: MetricSpec(MEMBER_NORM, of_p_list=True, monitor=True),
+}
 
 
 def _moment_ratio(values) -> float:
@@ -519,11 +504,17 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
         for start in range(0, config.replicates, chunk)
     ]
     results = _run_chunks(tasks, workers)
-    # (replicates, N, steps + 1, 5), and each failed replicate's {N: error}
+    # (replicates, N, steps + 1, len(enkf.COLUMNS)), and each failed replicate's {N: error}
     scalars = np.concatenate([chunk_scalars for chunk_scalars, _ in results])
     lost = {r: errors for _, failed in results for r, errors in failed.items()}
 
-    # One table per metric label: {label: {N: Estimate}}, N in grid order.
+    # Every estimated quantity, {label: (MetricSpec, p)}, and one table per
+    # label that has an estimate: {label: {N: Estimate}}, N in grid order.
+    studied: dict[str, tuple[MetricSpec, float]] = {}
+    for metric in config.metrics:
+        spec = METRIC_TABLE[metric]
+        for p in config.p_list if spec.of_p_list else (1.0,):
+            studied[_metric_label(metric, p) if spec.of_p_list else metric.value] = spec, p
     tables: dict[str, dict[int, Estimate]] = {}
     failures: dict[str, list] = {}
     for j, n in enumerate(config.n_grid):
@@ -533,45 +524,33 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
         done = [r for r in range(config.replicates) if n not in lost.get(r, ())]
         if len(done) < 2:
             continue
-        rows = scalars[done, j]  # (replicates, steps + 1, 5)
-        if {Metric.MEAN_ERR, Metric.COV_ERR} & set(config.metrics):
-            mean_cov = mean_cov_error(rows)
-        for metric in config.metrics:
-            if metric in (Metric.MEMBER_LP, Metric.MOMENT_MONITOR):
-                lp = member_lp_error if metric is Metric.MEMBER_LP else member_moment
-                for p in config.p_list:
-                    tables.setdefault(_metric_label(metric, p), {})[n] = lp(rows, p)
-            else:
-                tables.setdefault(metric.value, {})[n] = (
-                    gain_error(rows) if metric is Metric.GAIN_ERR
-                    else mean_cov[metric is Metric.COV_ERR])  # (mean, cov)
+        rows = scalars[done, j]  # (replicates, steps + 1, len(enkf.COLUMNS))
+        for label, (spec, p) in studied.items():
+            tables.setdefault(label, {})[n] = lp_estimate(rows, spec.column, p)
 
     # Rows in (label, k, N) order. Every error gets a rate fit over N per
-    # step; the moment monitor is a boundedness check, not an error, and
-    # gets a flag per step instead, in numeric order of p.
+    # step; a monitor is a boundedness check, not an error, and gets a flag
+    # per step instead, in numeric order of p.
     steps = range(len(config.model.steps) + 1)
     estimates: list[EstimateRow] = []
     rates: list[RateRow] = []
+    flags: list[tuple[float, MomentFlagRow]] = []
     for label, table in sorted(tables.items()):
-        for k in steps[1:] if label == Metric.GAIN_ERR.value else steps:
+        spec, p = studied[label]
+        for k in steps[spec.first_step:]:
             points = [(n, float(est.value[k])) for n, est in table.items()]
             estimates += [EstimateRow(label, k, n, e, float(table[n].stderr[k]))
                           for n, e in points]
-            if label.startswith(Metric.MOMENT_MONITOR.value):
+            if spec.monitor:
+                ratio = _moment_ratio([e for _, e in points])
+                flags.append((p, MomentFlagRow(label, k, ratio > MOMENT_FLAG_RATIO, ratio)))
                 continue
             try:
                 fit = fit_rate(points)
             except ValueError:  # fewer than 3 positive points: no rate to fit
                 continue
             rates.append(RateRow(label, k, **vars(fit)))
-    moment_flags = []
-    for p in sorted(config.p_list):
-        label = _metric_label(Metric.MOMENT_MONITOR, p)
-        if label not in tables:
-            continue
-        for k in steps:
-            ratio = _moment_ratio([float(est.value[k]) for est in tables[label].values()])
-            moment_flags.append(MomentFlagRow(label, k, ratio > MOMENT_FLAG_RATIO, ratio))
+    moment_flags = [flag for _, flag in sorted(flags, key=lambda pair: pair[0])]
 
     metadata = {
         **_scalar_fields(config),

@@ -5,9 +5,9 @@ products, element loops, one ``np.linalg.norm`` per value) rather than
 reusing the library's linear algebra, so a bug cannot cancel out of both
 sides of an assertion. ``coupled_scalars`` borrows only the library's sample
 moments, so that it can match the study kernel bit for bit.
-``mean_estimate_at_step`` and ``lp_estimate_at_step`` are the estimators'
-arithmetic on one step's replicate values alone, the reference that the
-every-step estimators must match bit for bit.
+``mean_estimate_at_step`` and ``lp_estimate_at_step`` are ``lp_estimate``'s
+arithmetic (at p = 1 and at any p) on one step's replicate values alone, the
+reference that the every-step estimator must match bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def coupled_scalars(run, trajectory):
 
 def replicate_scalars(runs, trajectory):
     """``coupled_scalars`` of each run, stacked: shape (replicates, steps + 1,
-    5), the input of the study's estimators for one ensemble size."""
+    5), the input of ``lp_estimate`` for one ensemble size."""
     return np.stack([coupled_scalars(run, trajectory) for run in runs])
 
 
@@ -72,7 +72,9 @@ def mean_estimate_at_step(values):
 def lp_estimate_at_step(norms, p):
     """((mean |v|^p)^(1/p), delta-method standard error) of one step's 1-D
     replicate norms, taken of v / max|v| where |v|^p could leave float64's
-    range."""
+    range. At p = 1 it is the plain mean estimate."""
+    if p == 1.0:
+        return mean_estimate_at_step(norms)
     scale = _scale_at_step(norms, p)
     value, stderr = mean_estimate_at_step((norms / scale) ** p)
     if value == 0.0:

@@ -16,14 +16,11 @@ from enkf_lab import (
     coupled_run,
     experiment,
     fit_rate,
-    gain_error,
     kf_run,
-    mean_cov_error,
-    member_lp_error,
-    member_moment,
+    lp_estimate,
     run_study,
 )
-from enkf_lab.enkf import COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
+from enkf_lab.enkf import COLUMNS, COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
 from enkf_lab.experiment import (
     ConvergenceReport,
     EstimateRow,
@@ -51,7 +48,7 @@ def scalar_runs(scalar, scalar_kf):
 
 @pytest.fixture(scope="module")
 def scalar_rows(scalar_runs, scalar_kf):
-    """The estimators' input for ``scalar_runs``: per N, the kernel scalars
+    """The estimator's input for ``scalar_runs``: per N, the kernel scalars
     of each replicate, recomputed from its trajectory."""
     return {n: replicate_scalars(runs, scalar_kf) for n, runs in scalar_runs.items()}
 
@@ -68,7 +65,7 @@ def lp_log_space(norms, p):
 
 class TestMemberLpError:
     def test_zero_at_initialization(self, scalar_rows):
-        est = member_lp_error(scalar_rows[16], 2)
+        est = lp_estimate(scalar_rows[16], MEMBER_DIFF, 2)
         assert est.value[0] == 0.0
         assert est.stderr[0] == 0.0
 
@@ -76,17 +73,17 @@ class TestMemberLpError:
         # with member-1 error norms {0, 2}: ((0 + 2^2)/2)^(1/2) = sqrt(2)
         scalars = np.zeros((2, 1, 5))
         scalars[1, 0, MEMBER_DIFF] = 2.0
-        est = member_lp_error(scalars, 2)
+        est = lp_estimate(scalars, MEMBER_DIFF, 2)
         assert abs(est.value[0] - np.sqrt(2.0)) < 1e-15
 
     def test_error_decreases_with_ensemble_size(self, scalar_rows):
-        small = member_lp_error(scalar_rows[16], 2)
-        big = member_lp_error(scalar_rows[4096], 2)
+        small = lp_estimate(scalar_rows[16], MEMBER_DIFF, 2)
+        big = lp_estimate(scalar_rows[4096], MEMBER_DIFF, 2)
         assert big.value[3] < small.value[3]
 
     def test_p2_equals_root_mean_square_recomputation(self, scalar_runs, scalar_rows):
         runs = scalar_runs[16]
-        est = member_lp_error(scalar_rows[16], 2)
+        est = lp_estimate(scalar_rows[16], MEMBER_DIFF, 2)
         sq = [
             float(
                 np.sum(
@@ -123,11 +120,11 @@ class TestMemberLpError:
                 assert row.stderr == pytest.approx(stderr, rel=1e-9)
 
     def test_one_replicate_has_a_nan_stderr(self, scalar_rows):
-        # one rule for all four estimators, as Estimate documents it
+        # one rule for every column and order, as Estimate documents it
         one = scalar_rows[16][:1]
-        mean, cov = mean_cov_error(one)
-        for est in (member_lp_error(one, 2), member_moment(one, 2), mean, cov,
-                    gain_error(one)):
+        for column, p in ((MEMBER_DIFF, 2), (MEMBER_NORM, 2), (MEAN_ERR, 1),
+                          (COV_ERR, 1), (GAIN_ERR, 1)):
+            est = lp_estimate(one, column, p)
             assert np.isfinite(est.value[1:]).all()
             assert np.isnan(est.stderr).all()
 
@@ -141,12 +138,14 @@ class TestMeanCovError:
             coupled_run(model, init, 0, r, 8, kf_trajectory=trajectory)
             for r in range(3)
         ]
-        mean_est, cov_est = mean_cov_error(replicate_scalars(runs, trajectory))
+        scalars = replicate_scalars(runs, trajectory)
+        mean_est, cov_est = (lp_estimate(scalars, c, 1) for c in (MEAN_ERR, COV_ERR))
         assert mean_est.value[0] == 0.0
         assert cov_est.value[0] == 0.0
 
     def test_single_replicate_stderr_undefined(self, scalar_rows):
-        mean_est, cov_est = mean_cov_error(scalar_rows[16][:1])
+        one = scalar_rows[16][:1]
+        mean_est, cov_est = (lp_estimate(one, c, 1) for c in (MEAN_ERR, COV_ERR))
         assert np.isnan(mean_est.stderr).all()
         assert np.isnan(cov_est.stderr).all()
 
@@ -163,7 +162,7 @@ class TestMeanCovError:
                 )
                 for r in range(30)
             ]
-            _, cov_est = mean_cov_error(replicate_scalars(runs, scalar_kf))
+            cov_est = lp_estimate(replicate_scalars(runs, scalar_kf), COV_ERR, 1)
             errs.append(cov_est.value[3])
         fit = fit_rate(list(zip((16, 256, 4096), errs)))
         assert -0.75 < fit.slope < -0.25
@@ -180,15 +179,15 @@ class TestGainError:
             for r in range(3)
         ]
         scalars = replicate_scalars(runs, scalar_kf)
-        assert (gain_error(scalars).value[1:] == 0.0).all()
+        assert (lp_estimate(scalars, GAIN_ERR, 1).value[1:] == 0.0).all()
 
     def test_decreasing_in_n(self, scalar_rows):
-        big, small = gain_error(scalar_rows[4096]), gain_error(scalar_rows[16])
+        big, small = (lp_estimate(scalar_rows[n], GAIN_ERR, 1) for n in (4096, 16))
         assert (big.value[1:] < small.value[1:]).all()
 
     def test_no_gain_at_step_zero(self, scalar_rows):
         # the kernel's step-0 gain scalar is NaN, and so is the estimate
-        est = gain_error(scalar_rows[16])
+        est = lp_estimate(scalar_rows[16], GAIN_ERR, 1)
         assert np.isnan(est.value[0]) and np.isnan(est.stderr[0])
         assert np.isfinite(est.value[1:]).all()
 
@@ -196,8 +195,8 @@ class TestGainError:
 class TestMomentMonitor:
     def test_initial_moment_is_size_independent(self, scalar_rows):
         # member 1 at k=0 is literally the same draw at every N
-        a = member_moment(scalar_rows[16], 4)
-        b = member_moment(scalar_rows[4096], 4)
+        a = lp_estimate(scalar_rows[16], MEMBER_NORM, 4)
+        b = lp_estimate(scalar_rows[4096], MEMBER_NORM, 4)
         assert a.value[0] == b.value[0]
 
     def test_standard_normal_second_moment(self, empty_scalar):
@@ -209,18 +208,18 @@ class TestMomentMonitor:
             coupled_run(model, init, 3, r, 2, kf_trajectory=trajectory)
             for r in range(200)
         ]
-        est = member_moment(replicate_scalars(runs, trajectory), 2)
+        est = lp_estimate(replicate_scalars(runs, trajectory), MEMBER_NORM, 2)
         assert abs(est.value[0] - 1.0) <= 3 * est.stderr[0]
 
     def test_monitor_table_and_flag(self, scalar, scalar_rows):
-        # the study tabulates member_moment over the grid and flags a
+        # the study tabulates the member-1 moment over the grid and flags a
         # max/min ratio above MOMENT_FLAG_RATIO
         model, init = scalar
         config = StudyConfig(model=model, init=init, n_grid=(16, 4096),
                              replicates=100, p_list=(4.0,),
                              metrics=(Metric.MOMENT_MONITOR,))
         report = run_study(config)
-        table = [member_moment(scalar_rows[n], 4).value[3] for n in (16, 4096)]
+        table = [lp_estimate(scalar_rows[n], MEMBER_NORM, 4).value[3] for n in (16, 4096)]
         assert [report.estimate("moment_p4", 3, n).estimate for n in (16, 4096)] == table
         (flag,) = [row for row in report.moment_flags if row.k == 3]
         assert flag.max_over_min == max(table) / min(table)
@@ -229,7 +228,7 @@ class TestMomentMonitor:
 
 
 def synthetic_scalars(rng):
-    """Six replicates whose steps take each path of the estimators: all zero,
+    """Six replicates whose steps take each path of the estimator: all zero,
     about 1e-200 and about 1e200 (scaled by max|v|), plain, and plain with
     zeros; the gain column is NaN at step 0, as the kernel's is."""
     base = rng.uniform(0.5, 2.0, size=(6, 5, 5))
@@ -258,18 +257,16 @@ class TestEveryStepMatchesOneStep:
     @pytest.mark.parametrize("source", ["scalar_rows", "synthetic"])
     def test_lp_estimators(self, source, p, scalar_rows, rng):
         for scalars in self.cases(source, scalar_rows, rng):
-            for estimate, column in ((member_lp_error, MEMBER_DIFF),
-                                     (member_moment, MEMBER_NORM)):
-                self.assert_bits(estimate(scalars, p), [
+            for column in (MEMBER_DIFF, MEMBER_NORM):
+                self.assert_bits(lp_estimate(scalars, column, p), [
                     lp_estimate_at_step(scalars[:, k, column], p)
                     for k in range(scalars.shape[1])])
 
     @pytest.mark.parametrize("source", ["scalar_rows", "synthetic"])
     def test_mean_estimators(self, source, scalar_rows, rng):
         for scalars in self.cases(source, scalar_rows, rng):
-            for est, column in zip((*mean_cov_error(scalars), gain_error(scalars)),
-                                   (MEAN_ERR, COV_ERR, GAIN_ERR)):
-                self.assert_bits(est, [
+            for column in (MEAN_ERR, COV_ERR, GAIN_ERR):
+                self.assert_bits(lp_estimate(scalars, column, 1), [
                     mean_estimate_at_step(scalars[:, k, column])
                     for k in range(scalars.shape[1])])
 
@@ -608,8 +605,8 @@ class TestRunStudy:
         assert "cov_jitter" not in run_study(config).metadata
 
     def test_matches_public_estimators(self, scalar, scalar_kf):
-        # the study's estimates equal the public estimators applied to the
-        # scalars recomputed from coupled_run trajectories, bit for bit
+        # the study's estimates equal lp_estimate applied to the scalars
+        # recomputed from coupled_run trajectories, bit for bit
         model, init = scalar
         config = StudyConfig(model=model, init=init, seed=4, n_grid=(4, 8, 16),
                              replicates=5, p_list=(2.0, 3.5))
@@ -625,35 +622,32 @@ class TestRunStudy:
                     for r in range(config.replicates)]
             scalars = replicate_scalars(runs, scalar_kf)
             for p, label in ((2.0, "p2"), (3.5, "p3.5")):
-                check(f"member_lp_{label}", n, member_lp_error(scalars, p))
-                check(f"moment_{label}", n, member_moment(scalars, p))
-            mean_est, cov_est = mean_cov_error(scalars)
-            check("mean_err", n, mean_est)
-            check("cov_err", n, cov_est)
-            check("gain_err", n, gain_error(scalars), first=1)
+                check(f"member_lp_{label}", n, lp_estimate(scalars, MEMBER_DIFF, p))
+                check(f"moment_{label}", n, lp_estimate(scalars, MEMBER_NORM, p))
+            check("mean_err", n, lp_estimate(scalars, MEAN_ERR, 1))
+            check("cov_err", n, lp_estimate(scalars, COV_ERR, 1))
+            check("gain_err", n, lp_estimate(scalars, GAIN_ERR, 1), first=1)
         assert len(report.estimates) == 3 * (4 * 6 + 3)
 
     def test_one_estimator_call_per_size(self, scalar, monkeypatch):
-        # every estimator answers for all steps, so the study calls it once
-        # per N (and p), not once per step
-        calls = {}
+        # the estimator answers for all steps, so the study calls it once
+        # per N and label, not once per step: 3 sizes x 7 labels
+        calls = []
+        real = experiment.lp_estimate
 
-        def counted(name):
-            real = getattr(experiment, name)
+        def counted(scalars, column, p):
+            calls.append((column, p))
+            return real(scalars, column, p)
 
-            def wrapper(*args):
-                calls[name] = calls.get(name, 0) + 1
-                return real(*args)
-            return wrapper
-
-        for name in ("member_lp_error", "member_moment", "mean_cov_error", "gain_error"):
-            monkeypatch.setattr(experiment, name, counted(name))
+        monkeypatch.setattr(experiment, "lp_estimate", counted)
         model, init = scalar
         config = StudyConfig(model=model, init=init, n_grid=(4, 8, 16),
                              replicates=3, p_list=(2.0, 4.0))
         run_study(config)
-        assert calls == {"member_lp_error": 6, "member_moment": 6,
-                         "mean_cov_error": 3, "gain_error": 3}
+        assert len(calls) == 21
+        assert sorted(set(calls)) == sorted(
+            [(MEMBER_DIFF, 2.0), (MEMBER_DIFF, 4.0), (MEMBER_NORM, 2.0), (MEMBER_NORM, 4.0),
+             (MEAN_ERR, 1.0), (COV_ERR, 1.0), (GAIN_ERR, 1.0)])
 
     def test_row_order(self, scalar):
         # estimates and rates in label order, so p10 before p2; moment flags
@@ -725,6 +719,46 @@ class TestRunStudy:
         row = report.rate("member_lp_p2", 1)
         assert row.points_used == 3
         assert row.dropped_nonpositive == 0
+
+
+class TestMetricTable:
+    # Every metric is lp_estimate of one kernel column, read from one table.
+
+    def test_one_row_per_metric(self):
+        assert list(experiment.METRIC_TABLE) == list(Metric)
+        for spec in experiment.METRIC_TABLE.values():
+            assert spec.column in COLUMNS
+
+    @pytest.fixture(scope="class")
+    def studies(self, scalar):
+        # p = 1 sits in p_list too, so the orders of p_list take the p = 1
+        # path of the estimator as well.
+        model, init = scalar
+        config = StudyConfig(model=model, init=init, seed=4, n_grid=(4, 8, 16),
+                             replicates=5, p_list=(3.5, 1.0, 2.0))
+        alone = {metric: run_study(dataclasses.replace(config, metrics=(metric,))).to_dict()
+                 for metric in Metric}
+        return run_study(config).to_dict(), alone
+
+    @pytest.mark.parametrize("metric", list(Metric), ids=lambda metric: metric.value)
+    def test_one_metric_alone_matches_the_full_study(self, studies, metric):
+        # a study of one metric gives the full study's rows for that metric's
+        # labels, bit for bit (JSON writes each float's repr), and no other
+        full, alone = studies[0], studies[1][metric]
+        spec = experiment.METRIC_TABLE[metric]
+        of_p_list = metric in (Metric.MEMBER_LP, Metric.MOMENT_MONITOR)
+        labels = ({f"{metric.value}_p{p}" for p in ("1", "2", "3.5")} if of_p_list
+                  else {metric.value})
+        assert spec.of_p_list == of_p_list
+        assert {r["metric"] for r in alone["estimates"]} == labels
+        for key in ("estimates", "rates", "moment_flags"):
+            mine = [r for r in full[key] if r["metric"] in labels]
+            assert json.dumps(alone[key]) == json.dumps(mine), key
+        monitor = metric is Metric.MOMENT_MONITOR
+        assert spec.monitor == monitor
+        assert bool(alone["moment_flags"]) == monitor and bool(alone["rates"]) != monitor
+        first = min(r["k"] for r in alone["estimates"])
+        assert first == spec.first_step == (1 if metric is Metric.GAIN_ERR else 0)
 
 
 class TestForkedWorkers:
