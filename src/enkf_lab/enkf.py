@@ -29,17 +29,13 @@ to single replicates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .ensemble import init_ensemble, perturb_data, sample_cov, sample_mean
 from .kf import KalmanTrajectory, _forecast_cov, kf_gain, kf_run
 from .model import GaussianState, LinearModel, _member_product, apply_model
-
-# Test hook: maps a step index to a replacement for the forecast sample
-# covariance used in the gain computation.
-CovOverride = Callable[[int], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +91,6 @@ def coupled_step(
     data_ensemble: np.ndarray,
     reference_ensemble: np.ndarray,
     kf_trajectory: KalmanTrajectory,
-    forecast_cov_override: CovOverride | None = None,
 ) -> CoupledState:
     """Advance X by one step on one perturbed-data ensemble, and pair it with
     ``reference_ensemble``, U at the same step.
@@ -103,16 +98,13 @@ def coupled_step(
     The caller draws ``data_ensemble`` once for step ``state.step + 1`` and
     advances U on the same draws with ``reference_step``. The ensemble gain
     comes from the forecast sample covariance of X, taken as A C A^T of the
-    carried covariance C (equal up to rounding), unless the
-    ``forecast_cov_override`` test hook substitutes another matrix; the
-    exact gain comes from the precomputed filter trajectory.
+    carried covariance C (equal up to rounding); the exact gain comes from
+    the precomputed filter trajectory.
     """
     k = state.step + 1
     step = model.step(k)
     x_forecast = apply_model(model, k, state.enkf_ensemble)
-    forecast_cov = (_forecast_cov(step.A, state.enkf_cov) if forecast_cov_override is None
-                    else forecast_cov_override(k))
-    gain = kf_gain(forecast_cov, step.H, step.R)
+    gain = kf_gain(_forecast_cov(step.A, state.enkf_cov), step.H, step.R)
     x = enkf_analysis(x_forecast, data_ensemble, gain, step.H)
     return CoupledState(
         enkf_ensemble=x, reference_ensemble=reference_ensemble, enkf_cov=sample_cov(x),
@@ -127,7 +119,6 @@ def coupled_run(
     replicate: int,
     n: int,
     kf_trajectory: KalmanTrajectory | None = None,
-    forecast_cov_override: CovOverride | None = None,
 ) -> list[CoupledState]:
     """Run the coupled construction over all model steps.
 
@@ -143,8 +134,7 @@ def coupled_run(
     for k, step in enumerate(model.steps, start=1):
         data = perturb_data(seed, replicate, k, n, step.data, step.R)
         reference = reference_step(model, k, states[-1].reference_ensemble, data, kf_trajectory)
-        states.append(coupled_step(states[-1], model, data, reference, kf_trajectory,
-                                   forecast_cov_override))
+        states.append(coupled_step(states[-1], model, data, reference, kf_trajectory))
     return states
 
 

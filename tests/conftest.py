@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -71,8 +73,8 @@ def fail_chains(monkeypatch):
     other replicates at n too. A chain is known by its data: member 1 of every
     perturbed-data draw of the armed replicates is recorded (a draw may serve
     one replicate or a sequence of them), and a stack whose data ensemble
-    starts a row with one of them holds an armed chain. Pool workers are
-    forked, so they inherit the arming.
+    starts a row with one of them holds an armed chain. Study workers are
+    forked children of the caller, so they inherit the arming.
     """
     import enkf_lab.enkf as enkf
 
@@ -99,6 +101,34 @@ def fail_chains(monkeypatch):
         monkeypatch.setattr(enkf, "coupled_step", coupled_step)
 
     return arm
+
+
+@contextmanager
+def substituted_forecast_cov(cov_of_step):
+    """Feed ``cov_of_step(k)`` to the step-k ensemble gain in place of X's
+    forecast sample covariance, within the ``with`` block.
+
+    Every ``coupled_step`` the library makes, ``coupled_run``'s included,
+    runs with ``enkf._forecast_cov`` replaced for its one call; both names
+    are restored on exit. A context manager, not a fixture, so that
+    hypothesis tests can use it too.
+    """
+    import enkf_lab.enkf as enkf
+
+    real_step, real_cov = enkf.coupled_step, enkf._forecast_cov
+
+    def coupled_step(state, *args, **kwargs):
+        enkf._forecast_cov = lambda A, cov: cov_of_step(state.step + 1)
+        try:
+            return real_step(state, *args, **kwargs)
+        finally:
+            enkf._forecast_cov = real_cov
+
+    enkf.coupled_step = coupled_step
+    try:
+        yield
+    finally:
+        enkf.coupled_step = real_step
 
 
 @pytest.fixture

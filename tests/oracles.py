@@ -5,6 +5,8 @@ products, element loops, one ``np.linalg.norm`` per value) rather than
 reusing the library's linear algebra, so a bug cannot cancel out of both
 sides of an assertion. ``coupled_scalars`` borrows only the library's sample
 moments, so that it can match the study kernel bit for bit.
+``affine_kernel_scalars`` is the study kernel's other reference: it shares
+only the keyed normals and the exact filter with the library's step code.
 ``mean_estimate_at_step`` and ``lp_estimate_at_step`` are ``lp_estimate``'s
 arithmetic (at p = 1 and at any p) on one step's replicate values alone, the
 reference that the every-step estimator must match bit for bit.
@@ -17,7 +19,7 @@ import sys
 
 import numpy as np
 
-from enkf_lab import sample_cov, sample_mean
+from enkf_lab import DrawKey, Role, sample_cov, sample_mean
 
 
 def coupled_scalars(run, trajectory):
@@ -44,6 +46,72 @@ def replicate_scalars(runs, trajectory):
     """``coupled_scalars`` of each run, stacked: shape (replicates, steps + 1,
     5), the input of ``lp_estimate`` for one ensemble size."""
     return np.stack([coupled_scalars(run, trajectory) for run in runs])
+
+
+def _keyed_normals(seed, replicate, k, role, n, dim):
+    """The n x dim standard normals of one keyed draw: row i is member i."""
+    bits = np.random.Philox(key=DrawKey(seed, replicate, k, role).philox_key())
+    return np.random.Generator(bits).standard_normal((n, dim))
+
+
+def _affine_analysis(step, gain, columns, matrix, shift):
+    """The map ``matrix`` z + ``shift`` of a member's normals z, pushed through
+    the step's forecast and the analysis with ``gain``; the step's data
+    normals are the coordinates ``columns``."""
+    keep = np.eye(len(shift)) - gain @ step.H
+    matrix = keep @ step.A @ matrix
+    matrix[:, columns] = gain @ np.linalg.cholesky(step.R)
+    return matrix, keep @ (step.A @ shift + step.b) + gain @ step.data
+
+
+def affine_kernel_scalars(model, init, seed, replicate, n_grid, trajectory):
+    """The study kernel's five scalars of one replicate at every N of
+    ``n_grid``, shape (len(n_grid), steps + 1, 5) as in ``chunk_errors``,
+    computed in the affine-in-the-normals form.
+
+    Member i's normals z_i stack its initial normals and its data normals of
+    every step. With affine dynamics each member of X at step k is
+    T_k z_i + c_k and member 1 of U is S_k z_1 + u_k, with maps common to
+    all members. The sample moments of X are T_k of those of the z_i, which
+    come from prefix sums and Grams of the normals, summed segment by
+    segment over the grid; so the ensemble gain, and with it T_k, follow
+    without forming an ensemble. Gains are plain ``np.linalg.solve`` calls;
+    the exact gains and moments come from ``trajectory``. The covariances
+    factored, the prior's and each R, must be positive definite.
+    """
+    m, d, steps = model.state_dim, model.obs_dim, len(model.steps)
+    normals = [_keyed_normals(seed, replicate, 0, Role.INIT, max(n_grid), m)]
+    normals += [_keyed_normals(seed, replicate, k, Role.DATA_PERTURBATION, max(n_grid), d)
+                for k in range(1, steps + 1)]
+    z = np.hstack(normals)
+    bounds = (0,) + tuple(n_grid)
+    sums = np.cumsum([z[a:b].sum(axis=0) for a, b in zip(bounds, bounds[1:])], axis=0)
+    grams = np.cumsum([z[a:b].T @ z[a:b] for a, b in zip(bounds, bounds[1:])], axis=0)
+    out = np.full((len(n_grid), steps + 1, 5), np.nan)
+    for j, n in enumerate(n_grid):
+        z_mean = sums[j] / n
+        z_cov = grams[j] / n - np.outer(z_mean, z_mean)
+        t = np.zeros((m, z.shape[1]))
+        t[:, :m] = np.linalg.cholesky(init.cov)
+        c = np.array(init.mean, dtype=float)
+        s, u = t.copy(), c.copy()
+        for k in range(steps + 1):
+            if k:
+                step = model.step(k)
+                cov = step.A @ t @ z_cov @ t.T @ step.A.T
+                gain = np.linalg.solve(step.H @ cov @ step.H.T + step.R, step.H @ cov).T
+                columns = slice(m + (k - 1) * d, m + k * d)
+                t, c = _affine_analysis(step, gain, columns, t, c)
+                s, u = _affine_analysis(step, trajectory.gain(k), columns, s, u)
+                out[j, k, 4] = np.linalg.norm(gain - trajectory.gain(k))
+            exact = trajectory.analysis(k)
+            out[j, k, :4] = [
+                np.linalg.norm((t - s) @ z[0] + (c - u)),
+                np.linalg.norm(t @ z[0] + c),
+                np.linalg.norm(t @ z_mean + c - exact.mean),
+                np.linalg.norm(t @ z_cov @ t.T - exact.cov),
+            ]
+    return out
 
 
 # Natural logs of the bounds of float64's normal range.

@@ -28,6 +28,7 @@ from enkf_lab.enkf import GAIN_ERR
 from enkf_lab.model import apply_model
 from enkf_lab.reference import reference_model, scalar_model
 
+from conftest import substituted_forecast_cov
 from oracles import conjugate_scalar_chain, replicate_scalars
 
 SLOPE_BAND = (-0.65, -0.35)
@@ -221,14 +222,10 @@ def test_criterion_7_deterministic_invariants():
             )
             assert residual <= 1e-10 * (1 + np.linalg.norm(q_f, "fro"))
 
-        # covariance override hook makes the gain error identically zero
-        hooked = [
-            coupled_run(
-                model, init, 0, r, 16, kf_trajectory=trajectory,
-                forecast_cov_override=lambda k: trajectory.forecast(k).cov,
-            )
-            for r in range(3)
-        ]
+        # the exact forecast covariance makes the gain error identically zero
+        with substituted_forecast_cov(lambda k: trajectory.forecast(k).cov):
+            hooked = [coupled_run(model, init, 0, r, 16, kf_trajectory=trajectory)
+                      for r in range(3)]
         hooked_scalars = replicate_scalars(hooked, trajectory)
         assert (lp_estimate(hooked_scalars, GAIN_ERR, 1).value[1:] == 0.0).all()
         assert time.perf_counter() - started < 10.0

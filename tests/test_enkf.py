@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spd
-from oracles import coupled_scalars
+from conftest import random_spd, substituted_forecast_cov
+from oracles import affine_kernel_scalars, coupled_scalars
 
 from enkf_lab import (
     CoupledState,
@@ -59,14 +59,14 @@ class TestForecastAndGain:
     def test_scalar_gain_value(self, scalar, scalar_kf):
         # forecast variance 3 against R = 1 gives the gain 3 / (3 + 1)
         model, init = scalar
-        run = coupled_run(model, init, 0, 0, 8, kf_trajectory=scalar_kf,
-                          forecast_cov_override=lambda k: np.array([[3.0]]))
+        with substituted_forecast_cov(lambda k: np.array([[3.0]])):
+            run = coupled_run(model, init, 0, 0, 8, kf_trajectory=scalar_kf)
         assert run[1].ensemble_gain[0, 0] == 0.75
 
     def test_zero_cov_zero_gain(self, reference, reference_kf):
         model, init = reference
-        run = coupled_run(model, init, 0, 0, 8, kf_trajectory=reference_kf,
-                          forecast_cov_override=lambda k: np.zeros((4, 4)))
+        with substituted_forecast_cov(lambda k: np.zeros((4, 4))):
+            run = coupled_run(model, init, 0, 0, 8, kf_trajectory=reference_kf)
         for state in run[1:]:
             assert np.array_equal(state.ensemble_gain, np.zeros((4, 2)))
 
@@ -262,10 +262,8 @@ class TestCoupledRun:
 
     def test_exact_cov_hook_collapses_both_chains(self, reference, reference_kf):
         model, init = reference
-        run = coupled_run(
-            model, init, 0, 0, 16, kf_trajectory=reference_kf,
-            forecast_cov_override=lambda k: reference_kf.forecast(k).cov,
-        )
+        with substituted_forecast_cov(lambda k: reference_kf.forecast(k).cov):
+            run = coupled_run(model, init, 0, 0, 16, kf_trajectory=reference_kf)
         for state in run[1:]:
             assert np.array_equal(state.ensemble_gain, state.exact_gain)
             assert np.array_equal(
@@ -484,6 +482,38 @@ class TestStackedChains:
                     assert np.array_equal(scalars[row, j], coupled_scalars(run, trajectory),
                                           equal_nan=True)
 
+    @settings(max_examples=30, deadline=None)
+    @given(problem=problems(), n_grid=st.builds(lambda grid, n: grid + (n,), GRIDS,
+                                                  st.integers(129, 300)),
+           seed=SEEDS, chunk=st.integers(1, 4),
+           replicates=st.lists(st.integers(0, 99), min_size=1, max_size=6, unique=True))
+    @example(problem=_odd_model(), n_grid=(2, 5, 127, 128, 129, 300), seed=3, chunk=2,
+             replicates=[0, 3, 4])
+    def test_kernel_matches_the_affine_oracle(self, problem, n_grid, seed, chunk, replicates):
+        # The oracle shares no step code with the kernel, so the two agree to
+        # rounding only: within 1e-10 of each scalar's scale, the scalar plus
+        # the exact filter's size of what it measures. Grids reach past 128
+        # members, where the member-wise products take more than one block.
+        model, init = problem
+        trajectory = kf_run(model, init)
+        exact = [trajectory.analysis(k) for k in range(len(model.steps) + 1)]
+        scale = np.empty((len(model.steps) + 1, 5))
+        scale[:, :3] = [[np.linalg.norm(a.mean) + np.sqrt(np.trace(a.cov))] for a in exact]
+        scale[:, 3] = [np.linalg.norm(a.cov) for a in exact]
+        scale[:, 4] = [0.0] + [np.linalg.norm(trajectory.gain(k))
+                               for k in range(1, len(model.steps) + 1)]
+        for start in range(0, len(replicates), chunk):
+            part = replicates[start:start + chunk]
+            scalars, failures = chunk_errors(model, init, seed, part, n_grid, trajectory)
+            assert failures == {}
+            for row, replicate in enumerate(part):
+                oracle = affine_kernel_scalars(model, init, seed, replicate, n_grid, trajectory)
+                assert np.array_equal(np.isnan(scalars[row]), np.isnan(oracle))
+                assert np.array_equal(scalars[row] == 0, oracle == 0)
+                finite = ~np.isnan(oracle)
+                deviation = np.abs(scalars[row] - oracle)[finite]
+                assert (deviation <= 1e-10 * (oracle + scale)[finite]).all()
+
     @settings(max_examples=40, deadline=None)
     @given(problem=problems(), n=st.integers(2, 64), seed=SEEDS,
            replicate=st.integers(0, 99))
@@ -492,8 +522,8 @@ class TestStackedChains:
         # gain, so X and U are one chain, bit for bit
         model, init = problem
         trajectory = kf_run(model, init)
-        run = coupled_run(model, init, seed, replicate, n, kf_trajectory=trajectory,
-                          forecast_cov_override=lambda k: trajectory.forecast(k).cov)
+        with substituted_forecast_cov(lambda k: trajectory.forecast(k).cov):
+            run = coupled_run(model, init, seed, replicate, n, kf_trajectory=trajectory)
         for state in run[1:]:
             assert np.array_equal(state.ensemble_gain, state.exact_gain)
             assert np.array_equal(state.enkf_ensemble,

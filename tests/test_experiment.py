@@ -30,6 +30,7 @@ from enkf_lab.experiment import (
     config_hash,
 )
 
+from conftest import substituted_forecast_cov
 from oracles import lp_estimate_at_step, mean_estimate_at_step, replicate_scalars
 
 
@@ -150,18 +151,14 @@ class TestMeanCovError:
         assert np.isnan(cov_est.stderr).all()
 
     def test_cov_error_shrinks_with_exact_gain_hook(self, scalar, scalar_kf):
-        # with the exact-gain hook the members stay i.i.d. samples, so the
-        # covariance error follows the 1/sqrt(N) sampling law
+        # with the exact forecast covariance the members stay i.i.d. samples,
+        # so the covariance error follows the 1/sqrt(N) sampling law
         model, init = scalar
         errs = []
         for n in (16, 256, 4096):
-            runs = [
-                coupled_run(
-                    model, init, 0, r, n, kf_trajectory=scalar_kf,
-                    forecast_cov_override=lambda k: scalar_kf.forecast(k).cov,
-                )
-                for r in range(30)
-            ]
+            with substituted_forecast_cov(lambda k: scalar_kf.forecast(k).cov):
+                runs = [coupled_run(model, init, 0, r, n, kf_trajectory=scalar_kf)
+                        for r in range(30)]
             cov_est = lp_estimate(replicate_scalars(runs, scalar_kf), COV_ERR, 1)
             errs.append(cov_est.value[3])
         fit = fit_rate(list(zip((16, 256, 4096), errs)))
@@ -171,13 +168,9 @@ class TestMeanCovError:
 class TestGainError:
     def test_zero_with_exact_cov_hook(self, scalar, scalar_kf):
         model, init = scalar
-        runs = [
-            coupled_run(
-                model, init, 0, r, 8, kf_trajectory=scalar_kf,
-                forecast_cov_override=lambda k: scalar_kf.forecast(k).cov,
-            )
-            for r in range(3)
-        ]
+        with substituted_forecast_cov(lambda k: scalar_kf.forecast(k).cov):
+            runs = [coupled_run(model, init, 0, r, 8, kf_trajectory=scalar_kf)
+                    for r in range(3)]
         scalars = replicate_scalars(runs, scalar_kf)
         assert (lp_estimate(scalars, GAIN_ERR, 1).value[1:] == 0.0).all()
 
