@@ -22,8 +22,6 @@ from .model import (
 from .kf import (
     KalmanStep,
     KalmanTrajectory,
-    kf_analysis,
-    kf_forecast,
     kf_gain,
     kf_run,
 )
@@ -33,7 +31,6 @@ from .ensemble import (
     init_ensemble,
     perturb_data,
     sample_cov,
-    sample_mean,
 )
 from .enkf import (
     CoupledState,
@@ -77,8 +74,6 @@ __all__ = [
     "enkf_analysis",
     "fit_rate",
     "init_ensemble",
-    "kf_analysis",
-    "kf_forecast",
     "kf_gain",
     "kf_run",
     "load_model",
@@ -89,7 +84,6 @@ __all__ = [
     "reference_model",
     "run_study",
     "sample_cov",
-    "sample_mean",
     "scalar_model",
     "validate_model",
 ]

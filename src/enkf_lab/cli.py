@@ -105,7 +105,7 @@ def _build_study_config(raw: dict, model: LinearModel, init: GaussianState) -> S
     if "n_grid" not in raw or "replicates" not in raw:
         raise StudyFormatError("study file needs n_grid and replicates")
     metric_names = raw.get("metrics")
-    if metric_names is None:
+    if "metrics" not in raw:
         metrics = tuple(Metric)
     elif not isinstance(metric_names, list):
         raise StudyFormatError(f"metrics must be a list, got {metric_names!r}")

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ensemble import init_ensemble, perturb_data, sample_cov, sample_mean
+from .ensemble import init_ensemble, perturb_data, sample_cov
 from .kf import KalmanTrajectory, _forecast_cov, kf_gain, kf_run
 from .model import GaussianState, LinearModel, _member_product, apply_model
 
@@ -160,7 +160,7 @@ def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
     rows = {
         MEMBER_DIFF: member - state.reference_ensemble[..., 0],
         MEMBER_NORM: member,
-        MEAN_ERR: sample_mean(x) - exact.mean,
+        MEAN_ERR: x.mean(axis=-1) - exact.mean,
         COV_ERR: (state.enkf_cov - exact.cov).reshape(batch + (-1,)),
     }
     if state.ensemble_gain is not None:

@@ -1,8 +1,8 @@
-"""Sample statistics and keyed Gaussian sampling.
+"""The sample covariance and keyed Gaussian sampling.
 
 An ensemble is an m x N float64 array with the members as columns, N >= 2;
-a (B, m, N) stack holds B ensembles of one size, and the sample statistics
-work slice by slice on it. Single-member ensembles are rejected where
+a (B, m, N) stack holds B ensembles of one size, and the sample covariance
+works slice by slice on it. Single-member ensembles are rejected where
 ensembles enter the program, the draws: the 1/N sample covariance is
 identically zero there and the size asymptotics are meaningless.
 
@@ -77,11 +77,6 @@ class DrawKey:
         )
         digest = hashlib.sha256(payload).digest()
         return np.frombuffer(digest[:16], dtype=np.uint64).copy()
-
-
-def sample_mean(x: np.ndarray) -> np.ndarray:
-    """Equally weighted mean of the member columns."""
-    return x.mean(axis=-1)
 
 
 def sample_cov(x: np.ndarray) -> np.ndarray:

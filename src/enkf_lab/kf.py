@@ -1,7 +1,8 @@
-"""Exact Kalman filter recursions for linear-Gaussian models.
+"""The exact Kalman filter for linear-Gaussian models.
 
-The filter propagates the exact filtering mean and covariance and exposes the
-exact gain, which doubles as the reference gain for the ensemble experiments.
+kf_run is the forecast/gain/analysis recursion: it propagates the exact
+filtering mean and covariance and exposes the exact gain, which doubles as
+the reference gain for the ensemble experiments.
 All covariance outputs are explicitly symmetrized. The gain's SPD system is
 checked by a Cholesky factorization and solved once, never by forming an
 inverse.
@@ -14,16 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GaussianState, LinearModel, validate_model
-
-
-def kf_forecast(prior: GaussianState, model: LinearModel, k: int) -> GaussianState:
-    """Push a Gaussian state through the step-k dynamics.
-
-    The forecast is the exact law of the affine image: mean A u + b,
-    covariance A Q A^T (the dynamics carry no process noise).
-    """
-    step = model.step(k)
-    return GaussianState(step.A @ prior.mean + step.b, _forecast_cov(step.A, prior.cov))
 
 
 def _forecast_cov(A: np.ndarray, cov: np.ndarray) -> np.ndarray:
@@ -61,19 +52,6 @@ def kf_gain(forecast_cov: np.ndarray, H: np.ndarray, R: np.ndarray) -> np.ndarra
     if not np.all(np.isfinite(gain)):
         raise np.linalg.LinAlgError("Kalman gain has non-finite entries")
     return gain
-
-
-def kf_analysis(
-    forecast: GaussianState, gain: np.ndarray, H: np.ndarray, data: np.ndarray
-) -> GaussianState:
-    """Condition a forecast on the data: u + L (d - H u), (I - L H) Q^f."""
-    H = np.asarray(H, dtype=np.float64)
-    data = np.asarray(data, dtype=np.float64)
-    innovation = data - H @ forecast.mean
-    mean = forecast.mean + gain @ innovation
-    cov = (np.eye(forecast.dim) - gain @ H) @ forecast.cov
-    cov = 0.5 * (cov + cov.T)
-    return GaussianState(mean, cov)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,15 +93,22 @@ class KalmanTrajectory:
 
 
 def kf_run(model: LinearModel, init: GaussianState) -> KalmanTrajectory:
-    """Check the problem with validate_model, then run the full
-    forecast/gain/analysis recursion over all model steps."""
+    """Check the problem with validate_model, then run the exact filter over
+    all model steps.
+
+    Each step forecasts the exact law of the affine image, mean A u + b and
+    covariance A Q A^T (the dynamics carry no process noise), takes the gain
+    L of that forecast, and conditions on the data: u + L (d - H u) and
+    (I - L H) Q^f.
+    """
     validate_model(model, init)
     steps: list[KalmanStep] = []
     state = init
-    for k in range(1, len(model.steps) + 1):
-        step = model.step(k)
-        forecast = kf_forecast(state, model, k)
+    for step in model.steps:
+        forecast = GaussianState(step.A @ state.mean + step.b, _forecast_cov(step.A, state.cov))
         gain = kf_gain(forecast.cov, step.H, step.R)
-        state = kf_analysis(forecast, gain, step.H, step.data)
+        mean = forecast.mean + gain @ (step.data - step.H @ forecast.mean)
+        cov = (np.eye(forecast.dim) - gain @ step.H) @ forecast.cov
+        state = GaussianState(mean, 0.5 * (cov + cov.T))
         steps.append(KalmanStep(forecast=forecast, gain=gain, analysis=state))
     return KalmanTrajectory(init=init, steps=tuple(steps))

@@ -122,9 +122,6 @@ class LinearModel:
         if self.obs_dim < 1:
             raise ValueError("obs_dim must be a positive integer")
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
     def step(self, k: int) -> StepSpec:
         """Return the spec of step k (1-based)."""
         if not 1 <= k <= len(self.steps):

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from enkf_lab import DrawKey, Role, sample_cov, sample_mean
+from enkf_lab import DrawKey, Role, sample_cov
 
 
 def coupled_scalars(run, trajectory):
@@ -34,7 +34,7 @@ def coupled_scalars(run, trajectory):
         rows.append([
             np.linalg.norm(x[:, 0] - u[:, 0]),
             np.linalg.norm(x[:, 0]),
-            np.linalg.norm(sample_mean(x) - exact.mean),
+            np.linalg.norm(x.mean(axis=-1) - exact.mean),
             np.linalg.norm(sample_cov(x) - exact.cov, ord="fro"),
             np.nan if k == 0 else
             np.linalg.norm(state.ensemble_gain - state.exact_gain, ord="fro"),

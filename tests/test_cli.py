@@ -135,6 +135,10 @@ assert main(["study", model, study, "-o", out + "/study"]) == 0
 loaded = [name for name, module in sys.modules.items()
           if name.startswith("scipy") and module is not None]
 assert not loaded, loaded
+# Start-up stays lean: no pool, process or signal machinery is imported.
+heavy = [name for name in ("concurrent", "multiprocessing", "signal", "subprocess")
+         if name in sys.modules]
+assert not heavy, heavy
 """
 
 
@@ -389,6 +393,7 @@ class TestStudyCommand:
             {"seed": 1.5},
             {"seeed": 5},
             {"p_lists": [3]},
+            {"metrics": None},
         ],
         ids=lambda override: json.dumps(override),
     )

@@ -25,7 +25,6 @@ from enkf_lab import (
     perturb_data,
     run_study,
     sample_cov,
-    sample_mean,
 )
 from enkf_lab.enkf import _errors, chunk_errors, reference_step
 
@@ -125,7 +124,7 @@ class TestAnalysis:
             exact = scalar_kf.analysis(k)
             u = run[k].reference_ensemble
             tol = 4 * np.sqrt(exact.cov[0, 0] / n)
-            assert abs(sample_mean(u)[0] - exact.mean[0]) <= tol
+            assert abs(u.mean(axis=-1)[0] - exact.mean[0]) <= tol
 
 
 class TestCoupledStep:
@@ -256,7 +255,7 @@ class TestCoupledRun:
             ).max() < 1e-12
             assert np.abs(gain - orig.ensemble_gain).max() < 1e-12
             assert np.abs(
-                sample_mean(x) - sample_mean(orig.enkf_ensemble)
+                x.mean(axis=-1) - orig.enkf_ensemble.mean(axis=-1)
             ).max() < 1e-12
             assert np.abs(sample_cov(x) - sample_cov(orig.enkf_ensemble)).max() < 1e-12
 
@@ -621,7 +620,7 @@ class TestReferenceEnsembleLaw:
                 "cov": (n - 1) / n**2 * (q_fro2 + q_trace**2) + q_fro2 / n**2,
             }
             errors = {
-                "mean": ((sample_mean(u) - exact.mean) ** 2).sum(axis=-1),
+                "mean": ((u.mean(axis=-1) - exact.mean) ** 2).sum(axis=-1),
                 "cov": ((sample_cov(u) - exact.cov) ** 2).sum(axis=(-2, -1)),
             }
             for name, sq in errors.items():

@@ -14,7 +14,6 @@ from enkf_lab import (
     init_ensemble,
     perturb_data,
     sample_cov,
-    sample_mean,
 )
 from enkf_lab.ensemble import _cov_factor
 from enkf_lab.experiment import run_study
@@ -28,12 +27,12 @@ class TestSampleStatistics:
     def test_constant_ensemble_mean(self):
         v = np.array([1.0, -2.0, 3.0])
         ens = np.tile(v[:, None], (1, 4))
-        assert np.array_equal(sample_mean(ens), v)
+        assert np.array_equal(ens.mean(axis=-1), v)
         assert np.array_equal(sample_cov(ens), np.zeros((3, 3)))
 
     def test_scalar_two_members(self):
         ens = np.array([[0.0, 2.0]])
-        assert sample_mean(ens)[0] == 1.0
+        assert ens.mean(axis=-1)[0] == 1.0
         # (0 + 4)/2 - 1^2 with the 1/N normalization
         assert sample_cov(ens)[0, 0] == 1.0
 
@@ -42,14 +41,14 @@ class TestSampleStatistics:
 
         x = rng.standard_normal((3, 7))
         mean, cov = mean_cov_loops(x)
-        assert np.abs(sample_mean(x) - mean).max() < 1e-14
+        assert np.abs(x.mean(axis=-1) - mean).max() < 1e-14
         assert np.abs(sample_cov(x) - cov).max() < 1e-14
 
     def test_permutation_invariance(self, rng):
         x = rng.standard_normal((4, 9))
         perm = rng.permutation(9)
         a, b = x, x[:, perm]
-        assert np.abs(sample_mean(a) - sample_mean(b)).max() <= 1e-14
+        assert np.abs(a.mean(axis=-1) - b.mean(axis=-1)).max() <= 1e-14
         assert np.abs(sample_cov(a) - sample_cov(b)).max() <= 1e-14
 
     def test_cov_invariant_under_constant_shift(self, rng):
@@ -194,7 +193,7 @@ class TestInitEnsemble:
         init = GaussianState(mean=[0.0], cov=[[1.0]])
         n = 10**4
         ens = init_ensemble(1, 0, n, init)
-        assert abs(sample_mean(ens)[0]) < 4 / np.sqrt(n)
+        assert abs(ens.mean(axis=-1)[0]) < 4 / np.sqrt(n)
 
     def test_too_small_rejected(self, reference):
         _, init = reference

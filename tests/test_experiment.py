@@ -19,6 +19,7 @@ from enkf_lab import (
     kf_run,
     lp_estimate,
     run_study,
+    sample_cov,
 )
 from enkf_lab.enkf import COLUMNS, COV_ERR, GAIN_ERR, MEAN_ERR, MEMBER_DIFF, MEMBER_NORM
 from enkf_lab.experiment import (
@@ -159,6 +160,13 @@ class TestMeanCovError:
             with substituted_forecast_cov(lambda k: scalar_kf.forecast(k).cov):
                 runs = [coupled_run(model, init, 0, r, n, kf_trajectory=scalar_kf)
                         for r in range(30)]
+            # X then takes the exact gain, so its covariance error is U's
+            for run in runs:
+                for k, state in enumerate(run):
+                    x_err, u_err = (
+                        np.linalg.norm(sample_cov(ens) - scalar_kf.analysis(k).cov, "fro")
+                        for ens in (state.enkf_ensemble, state.reference_ensemble))
+                    assert x_err == u_err, (n, k)
             cov_est = lp_estimate(replicate_scalars(runs, scalar_kf), COV_ERR, 1)
             errs.append(cov_est.value[3])
         fit = fit_rate(list(zip((16, 256, 4096), errs)))

@@ -7,8 +7,6 @@ from enkf_lab import (
     GaussianState,
     LinearModel,
     StepSpec,
-    kf_analysis,
-    kf_forecast,
     kf_gain,
     kf_run,
 )
@@ -23,14 +21,14 @@ class TestForecast:
                         data=np.zeros(2))
         model = LinearModel(steps=(step,), state_dim=2, obs_dim=2)
         prior = GaussianState(mean=[1.0, -2.0], cov=[[2.0, 0.5], [0.5, 1.0]])
-        out = kf_forecast(prior, model, 1)
+        out = kf_run(model, prior).forecast(1)
         assert np.array_equal(out.mean, prior.mean)
         assert np.abs(out.cov - prior.cov).max() < 1e-15
 
     def test_scalar_affine(self):
         step = StepSpec(A=[[2.0]], b=[1.0], H=[[1.0]], R=[[1.0]], data=[0.0])
         model = LinearModel(steps=(step,), state_dim=1, obs_dim=1)
-        out = kf_forecast(GaussianState([3.0], [[1.0]]), model, 1)
+        out = kf_run(model, GaussianState([3.0], [[1.0]])).forecast(1)
         assert out.mean[0] == 7.0
         assert out.cov[0, 0] == 4.0
 
@@ -42,7 +40,7 @@ class TestForecast:
         q = random_spd(rng, 4)
         step = StepSpec(A=a, b=b, H=np.eye(4), R=np.eye(4), data=np.zeros(4))
         model = LinearModel(steps=(step,), state_dim=4, obs_dim=4)
-        out = kf_forecast(GaussianState(u, q), model, 1)
+        out = kf_run(model, GaussianState(u, q)).forecast(1)
 
         n = 10**6
         samples = rng.multivariate_normal(u, q, size=n).T
@@ -57,7 +55,7 @@ class TestForecast:
         a = rng.standard_normal((3, 3))
         step = StepSpec(A=a, b=np.zeros(3), H=np.eye(3), R=np.eye(3), data=np.zeros(3))
         model = LinearModel(steps=(step,), state_dim=3, obs_dim=3)
-        out = kf_forecast(GaussianState(np.zeros(3), random_spd(rng, 3)), model, 1)
+        out = kf_run(model, GaussianState(np.zeros(3), random_spd(rng, 3))).forecast(1)
         assert np.array_equal(out.cov, out.cov.T)
 
 
@@ -122,29 +120,33 @@ class TestGain:
             kf_gain(covs, np.eye(2), np.eye(2))
 
 
+def _analysis(prior: GaussianState, h, r, data) -> GaussianState:
+    # One step with identity dynamics, so the forecast is the prior itself.
+    m = prior.dim
+    step = StepSpec(A=np.eye(m), b=np.zeros(m), H=h, R=r, data=data)
+    model = LinearModel(steps=(step,), state_dim=m, obs_dim=len(data))
+    return kf_run(model, prior).analysis(1)
+
+
 class TestAnalysis:
     def test_zero_innovation_keeps_mean(self, rng):
-        forecast = GaussianState([1.0, 2.0], random_spd(rng, 2))
+        prior = GaussianState([1.0, 2.0], random_spd(rng, 2))
         h = np.array([[1.0, 0.0]])
-        gain = kf_gain(forecast.cov, h, np.array([[1.0]]))
-        out = kf_analysis(forecast, gain, h, h @ forecast.mean)
-        assert np.array_equal(out.mean, forecast.mean)
+        out = _analysis(prior, h, [[1.0]], h @ prior.mean)
+        assert np.array_equal(out.mean, prior.mean)
 
     def test_conjugate_scalar_posterior(self):
         # posterior of N(0,1) prior under d=2, h=1, r=1 is N(1, 1/2)
-        forecast = GaussianState([0.0], [[1.0]])
-        h = np.array([[1.0]])
-        gain = kf_gain(forecast.cov, h, np.array([[1.0]]))
-        out = kf_analysis(forecast, gain, h, np.array([2.0]))
+        out = _analysis(GaussianState([0.0], [[1.0]]), [[1.0]], [[1.0]], [2.0])
         assert abs(out.mean[0] - 1.0) < 1e-15
         assert abs(out.cov[0, 0] - 0.5) < 1e-15
 
     def test_zero_gain_keeps_forecast(self, rng):
-        forecast = GaussianState([1.0, 2.0], random_spd(rng, 2))
-        out = kf_analysis(forecast, np.zeros((2, 1)), np.array([[1.0, 0.0]]),
-                          np.array([5.0]))
-        assert np.array_equal(out.mean, forecast.mean)
-        assert np.abs(out.cov - forecast.cov).max() < 1e-15
+        # an unobserved state takes a zero gain
+        prior = GaussianState([1.0, 2.0], random_spd(rng, 2))
+        out = _analysis(prior, np.zeros((1, 2)), [[1.0]], [5.0])
+        assert np.array_equal(out.mean, prior.mean)
+        assert np.abs(out.cov - prior.cov).max() < 1e-15
 
 
 class TestRun:
