@@ -131,12 +131,12 @@ def _dump_trajectories(out: Path, config: StudyConfig, failures: dict) -> None:
             print(f"error: N={n}: replicate 0 failed, so its trajectories are not "
                   "dumped", file=sys.stderr)
             continue
-        run = coupled_run(config.model, config.init, config.seed, 0, n, trajectory)
+        run = coupled_run(config.model, config.seed, 0, n, trajectory)
         arrays = {
             "x": np.stack([state.enkf_ensemble for state in run]),
             "u": np.stack([state.reference_ensemble for state in run]),
             "ensemble_gain": np.reshape([state.ensemble_gain for state in run[1:]], gain_shape),
-            "exact_gain": np.reshape([state.exact_gain for state in run[1:]], gain_shape),
+            "exact_gain": np.reshape([step.gain for step in trajectory.steps], gain_shape),
         }
         n_dir = out / "trajectories" / f"n{n}"
         n_dir.mkdir(parents=True, exist_ok=True)

@@ -14,8 +14,9 @@ Member i of U depends only on its own draws and the exact gains, not on N.
 The member-wise products of both ensembles go through ``_member_product``,
 as the draws' G z does, so each member's bits depend on neither N nor the other
 members either: U at any N is the prefix of U at a larger N, bit for bit.
-``reference_step`` advances U; ``coupled_step`` advances X and takes U from
-its caller.
+``reference_step`` advances U with the exact gain it is handed; ``coupled_step``
+advances X and takes U from its caller. Only the drivers and ``_errors`` read
+the exact filter's trajectory: its prior, gains and analyses.
 
 The step functions take one m x N ensemble array or a (B, m, N) stack of
 ensembles of one size and treat each slice of a stack exactly as they would
@@ -34,20 +35,20 @@ from typing import Sequence
 import numpy as np
 
 from .ensemble import init_ensemble, perturb_data, sample_cov
-from .kf import KalmanTrajectory, _forecast_cov, kf_gain, kf_run
-from .model import GaussianState, LinearModel, _member_product, apply_model
+from .kf import KalmanTrajectory, _forecast_cov, kf_gain
+from .model import LinearModel, _member_product, apply_model
 
 
 @dataclass(frozen=True, eq=False)
 class CoupledState:
     """Both ensembles after step ``step``, with ``sample_cov(enkf_ensemble)``
-    and the gains of the last analysis.
+    and the ensemble gain of the last analysis.
 
     The ensembles may be stacks of B chains, with stacks of B covariances and
-    B ensemble gains, and the one exact gain of the step. The reference
-    ensemble holds at least member 1 of U: ``coupled_run`` keeps N members,
-    the study kernel member 1 alone. At step 0 the ensembles are one and the
-    same array; the gains are None because no analysis has happened yet.
+    B ensemble gains. The reference ensemble holds at least member 1 of U:
+    ``coupled_run`` keeps N members, the study kernel member 1 alone. At step
+    0 the ensembles are one and the same array; the gain is None because no
+    analysis has happened yet.
     """
 
     enkf_ensemble: np.ndarray
@@ -55,7 +56,6 @@ class CoupledState:
     enkf_cov: np.ndarray
     step: int
     ensemble_gain: np.ndarray | None = None
-    exact_gain: np.ndarray | None = None
 
 
 def enkf_analysis(
@@ -77,12 +77,12 @@ def enkf_analysis(
 
 def reference_step(
     model: LinearModel, k: int, reference_ensemble: np.ndarray,
-    data_ensemble: np.ndarray, kf_trajectory: KalmanTrajectory,
+    data_ensemble: np.ndarray, exact_gain: np.ndarray,
 ) -> np.ndarray:
     """U at step k: the step-k forecast of ``reference_ensemble`` updated with
-    the exact gain on ``data_ensemble``, the members' perturbed data."""
+    ``exact_gain`` on ``data_ensemble``, the members' perturbed data."""
     forecast = apply_model(model, k, reference_ensemble)
-    return enkf_analysis(forecast, data_ensemble, kf_trajectory.gain(k), model.step(k).H)
+    return enkf_analysis(forecast, data_ensemble, exact_gain, model.step(k).H)
 
 
 def coupled_step(
@@ -90,7 +90,6 @@ def coupled_step(
     model: LinearModel,
     data_ensemble: np.ndarray,
     reference_ensemble: np.ndarray,
-    kf_trajectory: KalmanTrajectory,
 ) -> CoupledState:
     """Advance X by one step on one perturbed-data ensemble, and pair it with
     ``reference_ensemble``, U at the same step.
@@ -98,8 +97,7 @@ def coupled_step(
     The caller draws ``data_ensemble`` once for step ``state.step + 1`` and
     advances U on the same draws with ``reference_step``. The ensemble gain
     comes from the forecast sample covariance of X, taken as A C A^T of the
-    carried covariance C (equal up to rounding); the exact gain comes from
-    the precomputed filter trajectory.
+    carried covariance C (equal up to rounding).
     """
     k = state.step + 1
     step = model.step(k)
@@ -108,33 +106,30 @@ def coupled_step(
     x = enkf_analysis(x_forecast, data_ensemble, gain, step.H)
     return CoupledState(
         enkf_ensemble=x, reference_ensemble=reference_ensemble, enkf_cov=sample_cov(x),
-        step=k, ensemble_gain=gain, exact_gain=kf_trajectory.gain(k),
+        step=k, ensemble_gain=gain,
     )
 
 
 def coupled_run(
     model: LinearModel,
-    init: GaussianState,
     seed: int,
     replicate: int,
     n: int,
-    kf_trajectory: KalmanTrajectory | None = None,
+    kf_trajectory: KalmanTrajectory,
 ) -> list[CoupledState]:
-    """Run the coupled construction over all model steps.
+    """Run the coupled construction over all model steps from a draw of the
+    prior of ``kf_trajectory`` (``kf_run(model, init)``), U with its gains.
 
     Returns one CoupledState per step plus the shared initial state at index
     0, where X and U are the same ensemble. Fully deterministic given
-    (seed, replicate, n). Pass a precomputed ``kf_trajectory`` when running
-    many replicates; the exact gains are replicate-independent.
+    (seed, replicate, n); one trajectory serves every replicate.
     """
-    if kf_trajectory is None:
-        kf_trajectory = kf_run(model, init)
-    initial = init_ensemble(seed, replicate, n, init)
+    initial = init_ensemble(seed, replicate, n, kf_trajectory.init)
     states = [CoupledState(initial, initial, sample_cov(initial), step=0)]
     for k, step in enumerate(model.steps, start=1):
         data = perturb_data(seed, replicate, k, n, step.data, step.R)
-        reference = reference_step(model, k, states[-1].reference_ensemble, data, kf_trajectory)
-        states.append(coupled_step(states[-1], model, data, reference, kf_trajectory))
+        u = reference_step(model, k, states[-1].reference_ensemble, data, kf_trajectory.gain(k))
+        states.append(coupled_step(states[-1], model, data, u))
     return states
 
 
@@ -150,9 +145,10 @@ def _norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(rows, rows))
 
 
-def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
+def _errors(state: CoupledState, kf_trajectory: KalmanTrajectory) -> np.ndarray:
     """The scalars of the column constants above, for every chain of a
     stacked state: shape (B, len(COLUMNS)), NaN gain error at step 0."""
+    exact = kf_trajectory.analysis(state.step)
     x = state.enkf_ensemble
     batch = x.shape[:-2]
     # Member 1 copied to contiguous rows: a strided view rounds differently.
@@ -164,7 +160,7 @@ def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
         COV_ERR: (state.enkf_cov - exact.cov).reshape(batch + (-1,)),
     }
     if state.ensemble_gain is not None:
-        gain_diff = state.ensemble_gain - state.exact_gain
+        gain_diff = state.ensemble_gain - kf_trajectory.gain(state.step)
         rows[GAIN_ERR] = gain_diff.reshape(batch + (-1,))
     errors = np.full(batch + (len(COLUMNS),), np.nan)
     for column, values in rows.items():
@@ -185,7 +181,7 @@ def _errors(state: CoupledState, exact: GaussianState) -> np.ndarray:
 # gives infinities, which the finiteness check of its state records.
 @np.errstate(over="ignore")
 def chunk_errors(
-    model: LinearModel, init: GaussianState, seed: int, replicates: Sequence[int],
+    model: LinearModel, seed: int, replicates: Sequence[int],
     n_grid: tuple[int, ...], kf_trajectory: KalmanTrajectory,
 ) -> tuple[np.ndarray, dict[int, dict[int, str]]]:
     """A chunk of study replicates of the coupled construction at every N of
@@ -227,25 +223,23 @@ def chunk_errors(
         width = max(n_grid[j] for j in running)
         try:  # one (B, m, width) draw and one step of U for the whole chunk
             if k == 0:
-                draws = init_ensemble(seed, replicates, width, init)
+                draws = init_ensemble(seed, replicates, width, kf_trajectory.init)
                 reference = np.ascontiguousarray(draws[..., :1])
             else:
                 step = model.step(k)
                 draws = perturb_data(seed, replicates, k, width, step.data, step.R)
                 reference = reference_step(model, k, reference, draws[..., :1],
-                                           kf_trajectory)
+                                           kf_trajectory.gain(k))
         except Exception as exc:  # reported per (replicate, N) by run_study
             failed.update((n_grid[j], f"{type(exc).__name__}: {exc}") for j in running)
             break
-        exact = kf_trajectory.analysis(k)
         for j in running:
             n = n_grid[j]
             data = np.ascontiguousarray(draws[..., :n])
             try:
                 states[n] = (CoupledState(data, data, sample_cov(data), step=0) if k == 0
-                             else coupled_step(states[n], model, data, reference,
-                                               kf_trajectory))
-                rows = _errors(states[n], exact)
+                             else coupled_step(states[n], model, data, reference))
+                rows = _errors(states[n], kf_trajectory)
                 # The one finiteness check of a state; no gain at step 0.
                 if not np.isfinite(rows if k else rows[..., :GAIN_ERR]).all():
                     raise ValueError("ensemble entries must be finite")
@@ -261,6 +255,6 @@ def chunk_errors(
     half, lost = len(replicates) // 2, {}
     for part in (slice(0, half), slice(half, None)):
         errors[part, columns], part_lost = chunk_errors(
-            model, init, seed, replicates[part], sizes, kf_trajectory)
+            model, seed, replicates[part], sizes, kf_trajectory)
         lost |= part_lost
     return errors, lost

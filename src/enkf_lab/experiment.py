@@ -40,9 +40,8 @@ from .model import GaussianState, LinearModel, _cov_factor
 
 # Bound only for bench/spans.py, which patches or wraps these names; nothing
 # here calls them. The four estimators it wraps are lp_estimate now.
-from .enkf import coupled_run
-from .ensemble import sample_cov
-concurrent = member_lp_error = mean_cov_error = gain_error = member_moment = None
+concurrent = coupled_run = sample_cov = None
+member_lp_error = mean_cov_error = gain_error = member_moment = None
 
 # Moment estimates across the N-grid exceeding this max/min ratio raise the
 # no-explosion flag (an empirical boundedness check, not a proof).
@@ -499,8 +498,8 @@ def run_study(config: StudyConfig, workers: int = 1) -> ConvergenceReport:
     chunk = min(max(1, CHUNK_ELEMENTS // (config.model.state_dim * max(config.n_grid))),
                 -(-config.replicates // workers))
     tasks = [
-        (config.model, config.init, config.seed,
-         range(start, min(start + chunk, config.replicates)), config.n_grid, kf_trajectory)
+        (config.model, config.seed, range(start, min(start + chunk, config.replicates)),
+         config.n_grid, kf_trajectory)
         for start in range(0, config.replicates, chunk)
     ]
     results = _run_chunks(tasks, workers)

@@ -37,7 +37,7 @@ def coupled_scalars(run, trajectory):
             np.linalg.norm(x.mean(axis=-1) - exact.mean),
             np.linalg.norm(sample_cov(x) - exact.cov, ord="fro"),
             np.nan if k == 0 else
-            np.linalg.norm(state.ensemble_gain - state.exact_gain, ord="fro"),
+            np.linalg.norm(state.ensemble_gain - trajectory.gain(k), ord="fro"),
         ])
     return np.array(rows)
 

@@ -108,7 +108,7 @@ def test_criterion_2_reference_ensemble_has_filtering_law():
         exact = trajectory.analysis(k)
         pooled = np.hstack(
             [
-                coupled_run(model, init, 0, r, n, kf_trajectory=trajectory)[k]
+                coupled_run(model, 0, r, n, kf_trajectory=trajectory)[k]
                 .reference_ensemble
                 for r in range(reps)
             ]
@@ -186,7 +186,7 @@ def test_criterion_7_deterministic_invariants():
 
         # coupled initialization is bit-identical and the forecast-difference
         # identity holds at every step to 1e-12
-        run = coupled_run(model, init, 0, 0, 32, kf_trajectory=trajectory)
+        run = coupled_run(model, 0, 0, 32, kf_trajectory=trajectory)
         assert np.array_equal(
             run[0].enkf_ensemble, run[0].reference_ensemble
         )
@@ -223,7 +223,7 @@ def test_criterion_7_deterministic_invariants():
 
         # the exact forecast covariance makes the gain error identically zero
         with substituted_forecast_cov(lambda k: trajectory.forecast(k).cov):
-            hooked = [coupled_run(model, init, 0, r, 16, kf_trajectory=trajectory)
+            hooked = [coupled_run(model, 0, r, 16, kf_trajectory=trajectory)
                       for r in range(3)]
         hooked_scalars = replicate_scalars(hooked, trajectory)
         assert (lp_estimate(hooked_scalars, GAIN_ERR, 1).value[1:] == 0.0).all()

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import enkf_lab
-from enkf_lab import StudyConfig, coupled_run, experiment, model_to_dict, run_study
+from enkf_lab import StudyConfig, coupled_run, experiment, kf_run, model_to_dict, run_study
 from enkf_lab.cli import main
 from enkf_lab.reference import scalar_model
 
@@ -80,6 +80,15 @@ class TestValidateCommand:
         path.write_text(json.dumps(raw))
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err == "error: unknown key 'repaet' in step 0\n"
+
+    def test_zero_obs_dim_exit_two(self, tmp_path, capsys):
+        raw = model_to_dict(*scalar_model())
+        raw["obs_dim"] = 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed model: obs_dim must be a positive integer\n")
 
 
 class TestKfCommand:
@@ -318,14 +327,15 @@ class TestStudyCommand:
             dump = {name[:-4]: np.load(dirs[0] / name) for name in names}
             assert dump["x"].shape == dump["u"].shape == (4, 1, n)
             assert dump["ensemble_gain"].shape == dump["exact_gain"].shape == (3, 1, 1)
-            run = coupled_run(model, init, 5, 0, n)
+            trajectory = kf_run(model, init)
+            run = coupled_run(model, 5, 0, n, trajectory)
             for state in run:
                 k = state.step
                 assert dump["x"][k].tobytes() == state.enkf_ensemble.tobytes()
                 assert dump["u"][k].tobytes() == state.reference_ensemble.tobytes()
                 if k:
                     assert dump["ensemble_gain"][k - 1].tobytes() == state.ensemble_gain.tobytes()
-                    assert dump["exact_gain"][k - 1].tobytes() == state.exact_gain.tobytes()
+                    assert dump["exact_gain"][k - 1].tobytes() == trajectory.gain(k).tobytes()
 
     def test_dump_of_a_zero_step_model(self, empty_scalar, tmp_path):
         # No step, no gain: the gains are empty stacks of the gain's shape.

@@ -48,7 +48,7 @@ class TestForecastAndGain:
         # the forecast sample covariance, taken as A C A^T (symmetrized) of
         # the previous analysis sample covariance C, entry for entry
         model, init = reference
-        run = coupled_run(model, init, 2, 1, 12, kf_trajectory=reference_kf)
+        run = coupled_run(model, 2, 1, 12, kf_trajectory=reference_kf)
         for k in range(1, len(run)):
             step = model.step(k)
             forecast_cov = step.A @ sample_cov(run[k - 1].enkf_ensemble) @ step.A.T
@@ -59,13 +59,13 @@ class TestForecastAndGain:
         # forecast variance 3 against R = 1 gives the gain 3 / (3 + 1)
         model, init = scalar
         with substituted_forecast_cov(lambda k: np.array([[3.0]])):
-            run = coupled_run(model, init, 0, 0, 8, kf_trajectory=scalar_kf)
+            run = coupled_run(model, 0, 0, 8, kf_trajectory=scalar_kf)
         assert run[1].ensemble_gain[0, 0] == 0.75
 
     def test_zero_cov_zero_gain(self, reference, reference_kf):
         model, init = reference
         with substituted_forecast_cov(lambda k: np.zeros((4, 4))):
-            run = coupled_run(model, init, 0, 0, 8, kf_trajectory=reference_kf)
+            run = coupled_run(model, 0, 0, 8, kf_trajectory=reference_kf)
         for state in run[1:]:
             assert np.array_equal(state.ensemble_gain, np.zeros((4, 2)))
 
@@ -103,7 +103,7 @@ class TestAnalysis:
         # data ensemble as X, bit for bit
         model, init = reference
         seed, rep, n = 6, 2, 10
-        run = coupled_run(model, init, seed, rep, n, kf_trajectory=reference_kf)
+        run = coupled_run(model, seed, rep, n, kf_trajectory=reference_kf)
         for k in range(1, len(run)):
             step = model.step(k)
             uf = apply_model(model, k, run[k - 1].reference_ensemble)
@@ -118,7 +118,7 @@ class TestAnalysis:
         # the filtering distribution
         model, init = scalar
         n = 10**4
-        run = coupled_run(model, init, seed=21, replicate=0, n=n,
+        run = coupled_run(model, seed=21, replicate=0, n=n,
                           kf_trajectory=scalar_kf)
         for k in range(1, 4):
             exact = scalar_kf.analysis(k)
@@ -131,12 +131,12 @@ class TestCoupledStep:
     def test_first_step_difference_identity(self, reference, reference_kf):
         model, init = reference
         seed, rep, n = 3, 2, 32
-        run = coupled_run(model, init, seed, rep, n, kf_trajectory=reference_kf)
+        run = coupled_run(model, seed, rep, n, kf_trajectory=reference_kf)
         state = run[1]
         # X - U after the first analysis is (K - L)(D - H X^f), since X^f = U^f
         xf = apply_model(model, 1, run[0].enkf_ensemble)
         d = perturb_data(seed, rep, 1, n, model.step(1).data, model.step(1).R)
-        expected = (state.ensemble_gain - state.exact_gain) @ (
+        expected = (state.ensemble_gain - reference_kf.gain(1)) @ (
             d - model.step(1).H @ xf
         )
         actual = state.enkf_ensemble - state.reference_ensemble
@@ -147,49 +147,48 @@ class TestCoupledStep:
         init = GaussianState(mean=[1.0], cov=[[0.0]])
         trajectory = kf_run(model, init)
         seed, rep, n = 0, 0, 16
-        run = coupled_run(model, init, seed, rep, n, kf_trajectory=trajectory)
+        run = coupled_run(model, seed, rep, n, kf_trajectory=trajectory)
         state = run[1]
         assert np.array_equal(state.ensemble_gain, np.zeros((1, 1)))
         # divergence is (0 - L)(D - H X^f)
         xf = apply_model(model, 1, run[0].enkf_ensemble)
         d = perturb_data(seed, rep, 1, n, model.step(1).data, model.step(1).R)
-        expected = -state.exact_gain @ (d - model.step(1).H @ xf)
+        expected = -trajectory.gain(1) @ (d - model.step(1).H @ xf)
         actual = state.enkf_ensemble - state.reference_ensemble
         assert np.abs(actual - expected).max() < 1e-12
 
     def test_scalar_gain_close_at_large_n(self, scalar, scalar_kf):
         model, init = scalar
-        run = coupled_run(model, init, seed=0, replicate=0, n=4096,
+        run = coupled_run(model, seed=0, replicate=0, n=4096,
                           kf_trajectory=scalar_kf)
-        assert abs(run[1].ensemble_gain[0, 0] - run[1].exact_gain[0, 0]) < 0.1
+        assert abs(run[1].ensemble_gain[0, 0] - scalar_kf.gain(1)[0, 0]) < 0.1
 
     def test_step_beyond_model_rejected(self, scalar, scalar_kf):
         model, init = scalar
-        run = coupled_run(model, init, 0, 0, 8, kf_trajectory=scalar_kf)
+        run = coupled_run(model, 0, 0, 8, kf_trajectory=scalar_kf)
         with pytest.raises(ValueError, match="out of range"):
-            coupled_step(run[3], model, run[3].enkf_ensemble, run[3].reference_ensemble,
-                         scalar_kf)
+            coupled_step(run[3], model, run[3].enkf_ensemble, run[3].reference_ensemble)
 
 
 class TestCoupledRun:
     def test_empty_model_single_state(self, empty_scalar):
         model, init = empty_scalar
-        run = coupled_run(model, init, 0, 0, 8)
+        run = coupled_run(model, 0, 0, 8, kf_run(model, init))
         assert len(run) == 1
         assert run[0].step == 0
         assert run[0].enkf_ensemble is run[0].reference_ensemble
 
     def test_initial_ensembles_bit_identical(self, reference, reference_kf):
         model, init = reference
-        run = coupled_run(model, init, 0, 0, 16, kf_trajectory=reference_kf)
+        run = coupled_run(model, 0, 0, 16, kf_trajectory=reference_kf)
         assert np.array_equal(
             run[0].enkf_ensemble, run[0].reference_ensemble
         )
 
     def test_deterministic_reruns(self, reference, reference_kf):
         model, init = reference
-        a = coupled_run(model, init, 5, 7, 32, kf_trajectory=reference_kf)
-        b = coupled_run(model, init, 5, 7, 32, kf_trajectory=reference_kf)
+        a = coupled_run(model, 5, 7, 32, kf_trajectory=reference_kf)
+        b = coupled_run(model, 5, 7, 32, kf_trajectory=reference_kf)
         for sa, sb in zip(a, b):
             assert np.array_equal(sa.enkf_ensemble, sb.enkf_ensemble)
             assert np.array_equal(
@@ -205,9 +204,9 @@ class TestCoupledRun:
         for (model, init), big_n, sizes in ((reference, 512, (8,)),
                                             (_random_model(48, 12, 3), 300, (2, 33, 129))):
             trajectory = kf_run(model, init)
-            big = coupled_run(model, init, 0, 3, big_n, kf_trajectory=trajectory)
+            big = coupled_run(model, 0, 3, big_n, kf_trajectory=trajectory)
             for n in sizes:
-                small = coupled_run(model, init, 0, 3, n, kf_trajectory=trajectory)
+                small = coupled_run(model, 0, 3, n, kf_trajectory=trajectory)
                 for k in range(len(small)):
                     assert np.array_equal(
                         big[k].reference_ensemble[:, :n],
@@ -216,7 +215,7 @@ class TestCoupledRun:
 
     def test_coupling_identity_every_step(self, reference, reference_kf):
         model, init = reference
-        run = coupled_run(model, init, 1, 0, 24, kf_trajectory=reference_kf)
+        run = coupled_run(model, 1, 0, 24, kf_trajectory=reference_kf)
         for k in range(1, len(run)):
             a = model.step(k).A
             xf = apply_model(model, k, run[k - 1].enkf_ensemble)
@@ -233,7 +232,7 @@ class TestCoupledRun:
         # later ensemble and leaves the statistics and gains unchanged
         model, init = reference
         seed, rep, n = 11, 0, 10
-        run = coupled_run(model, init, seed, rep, n, kf_trajectory=reference_kf)
+        run = coupled_run(model, seed, rep, n, kf_trajectory=reference_kf)
         perm = np.random.default_rng(0).permutation(n)
 
         x = run[0].enkf_ensemble[:, perm]
@@ -262,9 +261,9 @@ class TestCoupledRun:
     def test_exact_cov_hook_collapses_both_chains(self, reference, reference_kf):
         model, init = reference
         with substituted_forecast_cov(lambda k: reference_kf.forecast(k).cov):
-            run = coupled_run(model, init, 0, 0, 16, kf_trajectory=reference_kf)
+            run = coupled_run(model, 0, 0, 16, kf_trajectory=reference_kf)
         for state in run[1:]:
-            assert np.array_equal(state.ensemble_gain, state.exact_gain)
+            assert np.array_equal(state.ensemble_gain, reference_kf.gain(state.step))
             assert np.array_equal(
                 state.enkf_ensemble, state.reference_ensemble
             )
@@ -276,7 +275,7 @@ class TestCoupledRun:
         reps, n, k = 50, 50, 3
         pooled = np.hstack(
             [
-                coupled_run(model, init, 4, r, n, kf_trajectory=scalar_kf)[k]
+                coupled_run(model, 4, r, n, kf_trajectory=scalar_kf)[k]
                 .reference_ensemble
                 for r in range(reps)
             ]
@@ -312,21 +311,21 @@ class TestReplicateErrors:
         trajectory = kf_run(model, init)
         n_grid = (2, 5, 16, 33)
         replicates = (0, 3)
-        scalars, failures = chunk_errors(model, init, 7, replicates, n_grid, trajectory)
+        scalars, failures = chunk_errors(model, 7, replicates, n_grid, trajectory)
         assert failures == {}
         assert scalars.shape == (2, len(n_grid), len(model.steps) + 1, 5)
         for row, replicate in enumerate(replicates):
             for j, n in enumerate(n_grid):
-                run = coupled_run(model, init, 7, replicate, n, kf_trajectory=trajectory)
+                run = coupled_run(model, 7, replicate, n, kf_trajectory=trajectory)
                 assert np.array_equal(scalars[row, j], coupled_scalars(run, trajectory),
                                       equal_nan=True)
 
     def test_chain_failure_stops_that_n_only(self, scalar, scalar_kf, fail_chains):
         model, init = scalar
         n_grid = (4, 8, 16)
-        clean, _ = chunk_errors(model, init, 0, (0, 1, 2), n_grid, scalar_kf)
+        clean, _ = chunk_errors(model, 0, (0, 1, 2), n_grid, scalar_kf)
         fail_chains({1}, 8)
-        scalars, failures = chunk_errors(model, init, 0, (0, 1, 2), n_grid, scalar_kf)
+        scalars, failures = chunk_errors(model, 0, (0, 1, 2), n_grid, scalar_kf)
         assert failures == {1: {8: "RuntimeError: synthetic failure"}}
         assert np.array_equal(scalars[1, [0, 2]], clean[1, [0, 2]], equal_nan=True)
         assert np.isnan(scalars[1, 1, 1:]).all()
@@ -337,7 +336,7 @@ class TestReplicateErrors:
         import enkf_lab.enkf as enkf
 
         model, init = scalar
-        clean, _ = chunk_errors(model, init, 0, (0, 1), (4, 8), scalar_kf)
+        clean, _ = chunk_errors(model, 0, (0, 1), (4, 8), scalar_kf)
         real = enkf.perturb_data
 
         def broken(seed, replicate, k, n, data, r_cov):
@@ -346,7 +345,7 @@ class TestReplicateErrors:
             return real(seed, replicate, k, n, data, r_cov)
 
         monkeypatch.setattr(enkf, "perturb_data", broken)
-        scalars, failures = chunk_errors(model, init, 0, (0, 1), (4, 8), scalar_kf)
+        scalars, failures = chunk_errors(model, 0, (0, 1), (4, 8), scalar_kf)
         assert failures == {0: {4: "RuntimeError: no draw at step 1",
                                 8: "RuntimeError: no draw at step 1"}}
         assert np.array_equal(scalars[1], clean[1], equal_nan=True)
@@ -357,7 +356,7 @@ class TestReplicateErrors:
         import enkf_lab.enkf as enkf
 
         model, init = scalar
-        clean, _ = chunk_errors(model, init, 0, (0, 1), (4, 8), scalar_kf)
+        clean, _ = chunk_errors(model, 0, (0, 1), (4, 8), scalar_kf)
         fail_chains({0}, 4)
         armed = enkf.perturb_data
 
@@ -367,7 +366,7 @@ class TestReplicateErrors:
             return armed(seed, replicate, k, n, data, r_cov)
 
         monkeypatch.setattr(enkf, "perturb_data", broken)
-        scalars, failures = chunk_errors(model, init, 0, (0, 1), (4, 8), scalar_kf)
+        scalars, failures = chunk_errors(model, 0, (0, 1), (4, 8), scalar_kf)
         assert failures == {0: {4: "RuntimeError: synthetic failure",
                                 8: "RuntimeError: no draw at step 2"}}
         assert np.array_equal(scalars[0, 0, :1], clean[0, 0, :1], equal_nan=True)
@@ -385,7 +384,7 @@ class TestReplicateErrors:
         model, init = scalar
         steps = len(model.steps)
         replicates, n_grid = tuple(range(8)), (4, 8, 16)
-        alone = [chunk_errors(model, init, 0, (r,), n_grid, scalar_kf)[0] for r in replicates]
+        alone = [chunk_errors(model, 0, (r,), n_grid, scalar_kf)[0] for r in replicates]
         fail_chains({5}, 8)
         armed, calls = enkf.coupled_step, Counter()
 
@@ -394,7 +393,7 @@ class TestReplicateErrors:
             return armed(state, model, data_ensemble, *args, **kwargs)
 
         monkeypatch.setattr(enkf, "coupled_step", coupled_step)
-        scalars, failures = chunk_errors(model, init, 0, replicates, n_grid, scalar_kf)
+        scalars, failures = chunk_errors(model, 0, replicates, n_grid, scalar_kf)
         assert failures == {5: {8: "RuntimeError: synthetic failure"}}
         assert calls[4] == calls[16] == steps
         assert calls[8] <= (2 * 3 + 1) * steps
@@ -412,7 +411,7 @@ class TestReplicateErrors:
 
         model, init = scalar  # 3 steps
         n_grid = (4, 8, 256)
-        clean, _ = chunk_errors(model, init, 0, (0,), n_grid, scalar_kf)
+        clean, _ = chunk_errors(model, 0, (0,), n_grid, scalar_kf)
         fail_chains({0}, 256)
         armed, widths = enkf.perturb_data, []
 
@@ -421,7 +420,7 @@ class TestReplicateErrors:
             return armed(seed, replicate, k, n, data, r_cov)
 
         monkeypatch.setattr(enkf, "perturb_data", perturb_data)
-        scalars, failures = chunk_errors(model, init, 0, (0,), n_grid, scalar_kf)
+        scalars, failures = chunk_errors(model, 0, (0,), n_grid, scalar_kf)
         assert failures == {0: {256: "RuntimeError: synthetic failure"}}
         assert widths == [256, 8, 8]
         assert np.array_equal(scalars[0, :2], clean[0, :2], equal_nan=True)
@@ -430,13 +429,13 @@ class TestReplicateErrors:
         # the kernel carries U's member 1 alone, and the scalars read nothing
         # else of U
         model, init = reference
-        run = coupled_run(model, init, 3, 0, 16, kf_trajectory=reference_kf)
+        run = coupled_run(model, 3, 0, 16, kf_trajectory=reference_kf)
         for k, state in enumerate(run):
             blanked = state.reference_ensemble.copy()
             blanked[:, 1:] = np.nan
-            exact = reference_kf.analysis(k)
-            assert np.array_equal(_errors(replace(state, reference_ensemble=blanked), exact),
-                                  _errors(state, exact), equal_nan=True)
+            assert np.array_equal(
+                _errors(replace(state, reference_ensemble=blanked), reference_kf),
+                _errors(state, reference_kf), equal_nan=True)
 
 
 @st.composite
@@ -472,11 +471,11 @@ class TestStackedChains:
         trajectory = kf_run(model, init)
         for start in range(0, len(replicates), chunk):
             part = replicates[start:start + chunk]
-            scalars, failures = chunk_errors(model, init, seed, part, n_grid, trajectory)
+            scalars, failures = chunk_errors(model, seed, part, n_grid, trajectory)
             assert failures == {}
             for row, replicate in enumerate(part):
                 for j, n in enumerate(n_grid):
-                    run = coupled_run(model, init, seed, replicate, n,
+                    run = coupled_run(model, seed, replicate, n,
                                       kf_trajectory=trajectory)
                     assert np.array_equal(scalars[row, j], coupled_scalars(run, trajectory),
                                           equal_nan=True)
@@ -503,7 +502,7 @@ class TestStackedChains:
                                for k in range(1, len(model.steps) + 1)]
         for start in range(0, len(replicates), chunk):
             part = replicates[start:start + chunk]
-            scalars, failures = chunk_errors(model, init, seed, part, n_grid, trajectory)
+            scalars, failures = chunk_errors(model, seed, part, n_grid, trajectory)
             assert failures == {}
             for row, replicate in enumerate(part):
                 oracle = affine_kernel_scalars(model, init, seed, replicate, n_grid, trajectory)
@@ -522,9 +521,9 @@ class TestStackedChains:
         model, init = problem
         trajectory = kf_run(model, init)
         with substituted_forecast_cov(lambda k: trajectory.forecast(k).cov):
-            run = coupled_run(model, init, seed, replicate, n, kf_trajectory=trajectory)
+            run = coupled_run(model, seed, replicate, n, kf_trajectory=trajectory)
         for state in run[1:]:
-            assert np.array_equal(state.ensemble_gain, state.exact_gain)
+            assert np.array_equal(state.ensemble_gain, trajectory.gain(state.step))
             assert np.array_equal(state.enkf_ensemble,
                                   state.reference_ensemble)
 
@@ -585,8 +584,8 @@ class TestCarriedCovariance:
             error = np.linalg.norm(carried - direct, axis=(-2, -1))
             assert (error <= 1e-12 * np.linalg.norm(direct, axis=(-2, -1))).all()
             data = perturb_data(5, replicate, k, 32, step.data, step.R)
-            u = reference_step(model, k, state.reference_ensemble, data, trajectory)
-            state = coupled_step(state, model, data, u, trajectory)
+            u = reference_step(model, k, state.reference_ensemble, data, trajectory.gain(k))
+            state = coupled_step(state, model, data, u)
         assert np.array_equal(state.enkf_cov, sample_cov(state.enkf_ensemble))
 
 
@@ -610,7 +609,7 @@ class TestReferenceEnsembleLaw:
         for k in range(1, 6):
             step = model.step(k)
             data = perturb_data(seed, replicates, k, n, step.data, step.R)
-            u = reference_step(model, k, u, data, reference_kf)
+            u = reference_step(model, k, u, data, reference_kf.gain(k))
             if k not in (1, 5):
                 continue
             exact = reference_kf.analysis(k)

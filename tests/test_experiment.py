@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import signal
 import time
 from types import SimpleNamespace
@@ -42,7 +43,7 @@ def scalar_runs(scalar, scalar_kf):
     out = {}
     for n in (16, 4096):
         out[n] = [
-            coupled_run(model, init, 0, r, n, kf_trajectory=scalar_kf)
+            coupled_run(model, 0, r, n, kf_trajectory=scalar_kf)
             for r in range(100)
         ]
     return out
@@ -111,7 +112,7 @@ class TestMemberLpError:
             report = run_study(config)
         label = f"member_lp_p{int(p)}"
         for n in config.n_grid:
-            runs = [coupled_run(model, init, 0, r, n, kf_trajectory=scalar_kf)
+            runs = [coupled_run(model, 0, r, n, kf_trajectory=scalar_kf)
                     for r in range(10)]
             rows = replicate_scalars(runs, scalar_kf)
             for k in range(1, 4):
@@ -137,7 +138,7 @@ class TestMeanCovError:
         init = GaussianState(mean=[1.0], cov=[[0.0]])
         trajectory = kf_run(model, init)
         runs = [
-            coupled_run(model, init, 0, r, 8, kf_trajectory=trajectory)
+            coupled_run(model, 0, r, 8, kf_trajectory=trajectory)
             for r in range(3)
         ]
         scalars = replicate_scalars(runs, trajectory)
@@ -158,7 +159,7 @@ class TestMeanCovError:
         errs = []
         for n in (16, 256, 4096):
             with substituted_forecast_cov(lambda k: scalar_kf.forecast(k).cov):
-                runs = [coupled_run(model, init, 0, r, n, kf_trajectory=scalar_kf)
+                runs = [coupled_run(model, 0, r, n, kf_trajectory=scalar_kf)
                         for r in range(30)]
             # X then takes the exact gain, so its covariance error is U's
             for run in runs:
@@ -177,7 +178,7 @@ class TestGainError:
     def test_zero_with_exact_cov_hook(self, scalar, scalar_kf):
         model, init = scalar
         with substituted_forecast_cov(lambda k: scalar_kf.forecast(k).cov):
-            runs = [coupled_run(model, init, 0, r, 8, kf_trajectory=scalar_kf)
+            runs = [coupled_run(model, 0, r, 8, kf_trajectory=scalar_kf)
                     for r in range(3)]
         scalars = replicate_scalars(runs, scalar_kf)
         assert (lp_estimate(scalars, GAIN_ERR, 1).value[1:] == 0.0).all()
@@ -206,7 +207,7 @@ class TestMomentMonitor:
         init = GaussianState(mean=[0.0], cov=[[1.0]])
         trajectory = kf_run(model, init)
         runs = [
-            coupled_run(model, init, 3, r, 2, kf_trajectory=trajectory)
+            coupled_run(model, 3, r, 2, kf_trajectory=trajectory)
             for r in range(200)
         ]
         est = lp_estimate(replicate_scalars(runs, trajectory), MEMBER_NORM, 2)
@@ -508,9 +509,9 @@ class TestRunStudy:
         real = experiment.chunk_errors
         sizes = []
 
-        def recording(model, init, seed, replicates, *rest):
+        def recording(model, seed, replicates, *rest):
             sizes.append(len(replicates))
-            return real(model, init, seed, replicates, *rest)
+            return real(model, seed, replicates, *rest)
 
         monkeypatch.setattr(experiment, "chunk_errors", recording)
 
@@ -590,6 +591,8 @@ class TestRunStudy:
             for r in range(4)]
         assert set(failures) == {"4096"}
         assert {row.n for row in report.estimates} == {4, 64}
+        with pytest.raises(KeyError, match=re.escape("no estimate for (cov_err, k=1, N=4096)")):
+            report.estimate("cov_err", 1, 4096)
         assert np.isfinite([(row.estimate, row.stderr) for row in report.estimates]).all()
         for n in (4, 64):
             cov_err = report.estimate("cov_err", 1, n)
@@ -619,7 +622,7 @@ class TestRunStudy:
                 assert (row.estimate, row.stderr) == (est.value[k], est.stderr[k])
 
         for n in config.n_grid:
-            runs = [coupled_run(model, init, 4, r, n, kf_trajectory=scalar_kf)
+            runs = [coupled_run(model, 4, r, n, kf_trajectory=scalar_kf)
                     for r in range(config.replicates)]
             scalars = replicate_scalars(runs, scalar_kf)
             for p, label in ((2.0, "p2"), (3.5, "p3.5")):
@@ -716,6 +719,8 @@ class TestRunStudy:
         report = run_study(config)
         fitted = {(r.metric, r.k) for r in report.rates}
         assert ("member_lp_p2", 0) not in fitted  # identically zero at k=0
+        with pytest.raises(KeyError, match=re.escape("no rate fit for (member_lp_p2, k=0)")):
+            report.rate("member_lp_p2", 0)
         assert ("member_lp_p2", 1) in fitted
         row = report.rate("member_lp_p2", 1)
         assert row.points_used == 3

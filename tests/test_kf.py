@@ -93,6 +93,13 @@ class TestGain:
         with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
             kf_gain(np.zeros((2, 2)), np.eye(2), np.zeros((2, 2)))
 
+    def test_overflowing_solve_raises(self):
+        # the innovation covariance 1e-312 is finite and positive definite;
+        # only the solve, 1e-302 / 1e-312, overflows
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^Kalman gain has non-finite entries$"):
+            kf_gain([[1e308]], [[1e-310]], [[1e-312]])
+
     @pytest.mark.parametrize("m, d", [(1, 1), (3, 1), (4, 2), (5, 5)])
     def test_stack_is_each_slice_alone(self, rng, m, d):
         covs = np.stack([random_spd(rng, m) for _ in range(3)])

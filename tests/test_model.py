@@ -255,7 +255,9 @@ class TestModelFiles:
         (lambda raw: raw.update(init=[0.0]), "init must be an object with mean and cov"),
         (lambda raw: raw["init"].pop("mean"), "missing key 'mean' in init"),
         (lambda raw: raw.update(state_dim=0), "state_dim must be a positive integer"),
-    ], ids=["empty-data-sequence", "init-not-object", "init-without-mean", "zero-state-dim"])
+        (lambda raw: raw.update(obs_dim=0), "obs_dim must be a positive integer"),
+    ], ids=["empty-data-sequence", "init-not-object", "init-without-mean", "zero-state-dim",
+            "zero-obs-dim"])
     def test_malformed_model_is_format_error(self, edit, message):
         raw = self.model_dict()
         edit(raw)

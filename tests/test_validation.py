@@ -67,6 +67,7 @@ INVALID = {
     ),
     "short-b": (("steps", 0, "b"), [0.0], "b has length 1, expected 2 at step 1"),
     "nan-data": (("steps", 1, "data", 0), math.nan, "data has non-finite entries at step 2"),
+    "long-data": (("steps", 1, "data"), [0.7, 0.1], "data has length 2, expected 1 at step 2"),
     "nan-b": (("steps", 0, "b", 1), math.nan, "b has non-finite entries at step 1"),
     "nan-init-mean": (("init", "mean", 0), math.nan, "init mean has non-finite entries"),
     "null-A": (("steps", 1, "A", 0, 1), None, "A has non-finite entries at step 2"),
